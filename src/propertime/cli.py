@@ -46,26 +46,22 @@ def main(argv=None):
         # argparse exits with 2 on usage errors already; normalize anything else
         return USAGE_ERROR if exc.code not in (0,) else 0
 
+    # a ValueError that gets past the parser (ScenarioError is one) is bad input too
     try:
         scenario = parse_scenario(args.scenario)
-    except ScenarioError as exc:
+        if scenario.kind != args.command:
+            raise ScenarioError(
+                f"scenario {scenario.name!r} has kind {scenario.kind!r}, "
+                f"but the {args.command!r} command was requested"
+            )
+        if args.seed is not None:
+            scenario = replace(scenario, seed=args.seed)
+        started = time.perf_counter()
+        report = run(scenario)
+        elapsed = time.perf_counter() - started
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-
-    if scenario.kind != args.command:
-        print(
-            f"error: scenario {scenario.name!r} has kind {scenario.kind!r}, "
-            f"but the {args.command!r} command was requested",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
-
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-
-    started = time.perf_counter()
-    report = run(scenario)
-    elapsed = time.perf_counter() - started
 
     if args.out:
         emit(report, args.format, args.out)

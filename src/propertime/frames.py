@@ -19,12 +19,49 @@ stays valid for turning trajectories where x(t') is not monotone.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .constants import NATURAL_UNITS
 
 INTERPOLATIONS = ("linear", "cubic_hermite")
 QUADRATURES = ("trapezoid", "simpson")
+# bounds the node arrays one quadrature allocates (8 MiB each)
+MAX_PANELS = 2**20
+
+
+def _end_slope(h0, h1, m0, m1):
+    """Three-point endpoint slope, limited so the end interval keeps its shape."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(t, v):
+    """Per-interval coefficients (d, c2, c3) of the monotone PCHIP interpolant,
+    v = v_i + s (d + s (c2 + s c3)) with s = t - t_i on [t_i, t_i+1].
+
+    Interior slopes are the weighted harmonic mean of the neighbouring
+    secants (Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5 (1984) 300),
+    zero where they change sign or either is zero, which keeps the
+    interpolant monotone between samples (Fritsch & Carlson, SIAM J. Numer.
+    Anal. 17 (1980) 238). End slopes use the three-point rule of
+    scipy's PchipInterpolator, the reference of the parity test.
+    """
+    h = np.diff(t)
+    m = np.diff(v) / h
+    d = np.full(t.size, m[0])  # a two-sample table is the secant line
+    if t.size > 2:
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        with np.errstate(all="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    cubic = (d[:-1] + d[1:] - 2.0 * m) / h
+    return d[:-1], (m - d[:-1]) / h - cubic, cubic / h
 
 
 @dataclass(frozen=True)
@@ -52,11 +89,9 @@ class Trajectory:
         v.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "velocities", v)
-        if self.interpolation == "cubic_hermite":
-            # shape-preserving cubic Hermite: stays within the sample range
-            object.__setattr__(self, "_spline", PchipInterpolator(t, v))
-        else:
-            object.__setattr__(self, "_spline", None)
+        # shape-preserving cubic Hermite: stays within the sample range
+        spline = _pchip(t, v) if self.interpolation == "cubic_hermite" else None
+        object.__setattr__(self, "_spline", spline)
 
     @property
     def horizon(self):
@@ -70,7 +105,10 @@ class Trajectory:
         if self._spline is None:
             v = np.interp(t, self.times, self.velocities)
         else:
-            v = self._spline(t)
+            i = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.times.size - 2)
+            s = t - self.times[i]
+            d, c2, c3 = self._spline
+            v = self.velocities[i] + s * (d[i] + s * (c2[i] + s * c3[i]))
         if np.any(np.abs(v) >= self.constants.c):
             raise ValueError("interpolated velocity reached the speed of light")
         return v
@@ -97,13 +135,18 @@ def load_trajectory(path, interpolation="cubic_hermite", constants=NATURAL_UNITS
     return Trajectory(np.array(times), np.array(velocities), interpolation, constants)
 
 
-def _quadrature_nodes(t, quadrature, n_panels):
+def check_quadrature(quadrature, n_panels):
+    """Raise ValueError unless `quadrature` with `n_panels` panels is a valid rule."""
     if quadrature not in QUADRATURES:
         raise ValueError(f"quadrature must be one of {QUADRATURES}")
-    if n_panels < 4:
-        raise ValueError(f"need at least 4 panels, got {n_panels}")
+    if not 4 <= n_panels <= MAX_PANELS:
+        raise ValueError(f"panel count must lie in [4, {MAX_PANELS}], got {n_panels}")
     if quadrature == "simpson" and n_panels % 2 != 0:
         raise ValueError("Simpson rule needs an even panel count")
+
+
+def _quadrature_nodes(t, quadrature, n_panels):
+    check_quadrature(quadrature, n_panels)
     return np.linspace(0.0, t, n_panels + 1)
 
 

@@ -157,7 +157,12 @@ def gaussian_packet(grid, center, sigma, momentum=0.0, normalize=True):
     )
     wf = WaveFunction(grid, psi, Representation.POSITION)
     if normalize:
-        wf = WaveFunction(grid, wf.amplitudes / norm(wf), Representation.POSITION)
+        scale = norm(wf)
+        if scale == 0.0:
+            raise ValueError(
+                f"packet at {center} underflows to zero on [{grid.x_min}, {grid.x_max})"
+            )
+        wf = WaveFunction(grid, wf.amplitudes / scale, Representation.POSITION)
     return wf
 
 

@@ -29,7 +29,6 @@ class PropagatorKind(Enum):
     SCHRODINGER = "schrodinger"
     RELATIVISTIC_SQRT = "relativistic_sqrt"
     DIRAC_1D = "dirac_1d"
-    PROPER_TIME_PHASE = "proper_time_phase"
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ is a pure function of (scenario, seed).
 
 import numpy as np
 
-from .frames import load_trajectory, semiclassical_phase, velocity_of_time
+from .frames import semiclassical_phase, velocity_of_time
 from .grid import (
     Representation,
     gaussian_packet,
@@ -197,28 +197,28 @@ def run_verify(scenario):
 
 # ------------------------------------------------------------- propagate
 
-def _scalar_observables(psi, t):
-    pos = to_position(psi)
-    mom = to_momentum(psi)
-    rho_x = np.abs(pos.amplitudes) ** 2 * pos.grid.dx
-    rho_p = np.abs(mom.amplitudes) ** 2 * mom.grid.dp
+def _observables(grid, t, density_x, density_p):
+    """Sample row from |psi(x)|^2 and |phi(p)|^2, summed over spinor components."""
+    rho_x = density_x * grid.dx
+    rho_p = density_p * grid.dp
     n2 = float(np.sum(rho_x))
-    x_mean = float(np.sum(pos.grid.positions * rho_x) / n2)
-    p_mean = float(np.sum(mom.grid.momenta * rho_p) / np.sum(rho_p))
-    x_var = float(np.sum((pos.grid.positions - x_mean) ** 2 * rho_x) / n2)
+    x_mean = float(np.sum(grid.positions * rho_x) / n2)
+    p_mean = float(np.sum(grid.momenta * rho_p) / np.sum(rho_p))
+    x_var = float(np.sum((grid.positions - x_mean) ** 2 * rho_x) / n2)
     return [t, float(np.sqrt(n2)), x_mean, p_mean, float(np.sqrt(x_var))]
 
 
-def _spinor_observables(spinor, t):
+def _scalar_densities(psi):
+    return np.abs(to_position(psi).amplitudes) ** 2, np.abs(to_momentum(psi).amplitudes) ** 2
+
+
+def _spinor_densities(spinor):
     pos = spinor_to_position(spinor)
     mom = spinor_to_momentum(spinor)
-    rho_x = (np.abs(pos.upper) ** 2 + np.abs(pos.lower) ** 2) * pos.grid.dx
-    rho_p = (np.abs(mom.upper) ** 2 + np.abs(mom.lower) ** 2) * mom.grid.dp
-    n2 = float(np.sum(rho_x))
-    x_mean = float(np.sum(pos.grid.positions * rho_x) / n2)
-    p_mean = float(np.sum(mom.grid.momenta * rho_p) / np.sum(rho_p))
-    x_var = float(np.sum((pos.grid.positions - x_mean) ** 2 * rho_x) / n2)
-    return [t, float(np.sqrt(n2)), x_mean, p_mean, float(np.sqrt(x_var))]
+    return (
+        np.abs(pos.upper) ** 2 + np.abs(pos.lower) ** 2,
+        np.abs(mom.upper) ** 2 + np.abs(mom.lower) ** 2,
+    )
 
 
 def run_propagate(scenario):
@@ -241,19 +241,19 @@ def run_propagate(scenario):
             grid, state.upper / scale, state.lower / scale, Representation.POSITION
         )
         state = spinor_to_momentum(state)
-        observe, advance = _spinor_observables, step_dirac
+        densities, advance = _spinor_densities, step_dirac
     else:
         state = to_momentum(gaussian_packet(grid, init.center, init.sigma, init.momentum))
-        observe = _scalar_observables
+        densities = _scalar_densities
         advance = (
             step_schrodinger if params.kind is PropagatorKind.SCHRODINGER else step_relativistic
         )
 
-    samples.append(observe(state, 0.0))
+    samples.append(_observables(grid, 0.0, *densities(state)))
     for step_index in range(1, params.steps + 1):
         state = advance(state, spec)
         if step_index % params.sample_every == 0:
-            samples.append(observe(state, step_index * params.dt))
+            samples.append(_observables(grid, step_index * params.dt, *densities(state)))
 
     checks = [
         CheckResult(
@@ -282,12 +282,12 @@ def run_propagate(scenario):
 def run_frame(scenario):
     params = scenario.params
     particle = particle_from(scenario)
-    traj = load_trajectory(params.trajectory_path, params.interpolation, scenario.constants)
+    traj = params.trajectory
     times = np.sort(np.asarray(params.times, dtype=float))
     result = semiclassical_phase(
         traj, particle, times, quadrature=params.quadrature, n_panels=params.panels
     )
-    rates = np.asarray([float(velocity_of_time(traj, t)) for t in times])
+    rates = velocity_of_time(traj, times)
 
     samples = [
         [
@@ -360,7 +360,7 @@ def _echo(scenario):
         doc["mass"] = params.mass
         doc["trajectory"] = {
             "path": params.trajectory_path,
-            "interpolation": params.interpolation,
+            "interpolation": params.trajectory.interpolation,
             "quadrature": params.quadrature,
             "panels": params.panels,
             "times": list(params.times),

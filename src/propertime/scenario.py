@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 
 from .constants import PhysicalConstants
-from .frames import INTERPOLATIONS, QUADRATURES, load_trajectory
+from .frames import Trajectory, check_quadrature, load_trajectory
 from .grid import make_grid
 from .operators import ParticleSpec
 from .propagators import PropagatorKind
@@ -70,7 +70,7 @@ class PropagateParams:
 class FrameParams:
     mass: float
     trajectory_path: str
-    interpolation: str
+    trajectory: Trajectory
     quadrature: str
     panels: int
     times: tuple
@@ -221,32 +221,25 @@ def parse_scenario(path):
         if not os.path.exists(traj_path):
             raise ScenarioError(f"{path}: trajectory file not found: {traj_path}")
         interpolation = traj.get_str("interpolation", "cubic_hermite")
-        if interpolation not in INTERPOLATIONS:
-            raise ScenarioError(
-                f"{path}: [trajectory] interpolation must be one of {INTERPOLATIONS}"
-            )
         quadrature = traj.get_str("quadrature", "simpson")
-        if quadrature not in QUADRATURES:
-            raise ScenarioError(f"{path}: [trajectory] quadrature must be one of {QUADRATURES}")
         panels = traj.get_int("panels", 256)
         times = traj.get_floats("times")
         if not times:
             raise ScenarioError(f"{path}: [trajectory] times must list at least one value")
-        # fail fast: parse the trajectory and bound the output times now
+        # fail fast: check the rule, parse the trajectory and bound the output times now
         try:
+            check_quadrature(quadrature, panels)
             loaded = load_trajectory(traj_path, interpolation, constants)
         except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
+            raise ScenarioError(f"{path}: [trajectory] {exc}") from None
         if any(t < 0 or t > loaded.horizon for t in times):
             raise ScenarioError(
                 f"{path}: [trajectory] times must lie within [0, {loaded.horizon}]"
             )
-        if panels < 4 or (quadrature == "simpson" and panels % 2 != 0):
-            raise ScenarioError(f"{path}: [trajectory] bad panel count {panels}")
         params = FrameParams(
             mass=_parse_mass(particle, path, require_positive=True),
             trajectory_path=traj_path,
-            interpolation=interpolation,
+            trajectory=loaded,
             quadrature=quadrature,
             panels=panels,
             times=times,

@@ -1,7 +1,11 @@
 """Runner determinism, report emission, and CLI exit codes."""
 
+import builtins
 import json
 import math
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -250,3 +254,53 @@ def test_cli_summary_goes_to_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "PASS" in captured.err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_import_cli_loads_no_scipy():
+    probe = "import sys, propertime.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_frame_trajectory_file_read_once(tmp_path, monkeypatch):
+    path = write_frame(tmp_path)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    report = run(parse_scenario(path))
+    assert report.passed
+    assert opened.count("wiggle.traj") == 1
+
+
+def underflowing_packet(tmp_path):
+    # parses, then the packet underflows to zero on the default grid inside run()
+    body = SPREADING.replace("x_min = -20.0\nx_max = 20.0\n", "") + "center = 1000\n"
+    return "propagate", write(tmp_path, body), "underflows"
+
+
+def panels_over_bound(tmp_path):
+    path = write_frame(tmp_path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("panels = 1048578\n")  # 2^20 + 2, rejected at parse before any allocation
+    return "frame", path, "[trajectory] panel count"
+
+
+@pytest.mark.parametrize("case", [underflowing_packet, panels_over_bound])
+def test_cli_exit_two_with_one_line_on_bad_input(tmp_path, capsys, case):
+    command, path, message = case(tmp_path)
+    assert main([command, path, "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

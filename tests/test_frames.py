@@ -237,3 +237,11 @@ def test_trajectory_file_round_trip(tmp_path):
     bad.write_text("0.0 0.0\n0.5\n")
     with pytest.raises(ValueError, match="bad.txt:2"):
         load_trajectory(bad)
+
+
+@pytest.mark.parametrize("interpolation", ["linear", "cubic_hermite"])
+def test_velocity_of_time_vectorized_matches_loop(interpolation):
+    traj = tanh_trajectory(interpolation, samples=65)
+    times = np.linspace(0.0, traj.horizon, 37)
+    loop = [float(velocity_of_time(traj, t)) for t in times]
+    assert velocity_of_time(traj, times).tolist() == loop
