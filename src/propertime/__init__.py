@@ -10,6 +10,7 @@ from .constants import NATURAL_UNITS, PhysicalConstants
 from .grid import (
     Representation,
     SpatialGrid,
+    SpinorWaveFunction,
     WaveFunction,
     boundary_amplitude,
     gaussian_packet,
@@ -49,7 +50,6 @@ from .kernels import (
 from .propagators import (
     PropagatorKind,
     PropagatorSpec,
-    SpinorWaveFunction,
     positive_energy_spinor,
     spinor_norm,
     spinor_to_momentum,

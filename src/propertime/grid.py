@@ -21,6 +21,9 @@ import numpy as np
 
 from .constants import NATURAL_UNITS, PhysicalConstants
 
+# bounds every n-length array a run allocates (64 MiB per complex array)
+MAX_GRID_SIZE = 2**22
+
 
 class Representation(Enum):
     POSITION = "position"
@@ -37,6 +40,8 @@ class SpatialGrid:
     def __post_init__(self):
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 8, got {self.n}")
+        if self.n > MAX_GRID_SIZE:
+            raise ValueError(f"grid size must be at most {MAX_GRID_SIZE}, got {self.n}")
         if not self.x_max > self.x_min:
             raise ValueError(
                 f"degenerate interval: x_min={self.x_min} x_max={self.x_max}"
@@ -68,6 +73,13 @@ class SpatialGrid:
         p = self.dp * k
         p.setflags(write=False)
         return p
+
+    @cached_property
+    def origin_phase(self):
+        """exp(-i p_k x_min / hbar), the transform's phase for a grid not starting at 0."""
+        phase = np.exp(-1j * self.momenta * self.x_min / self.constants.hbar)
+        phase.setflags(write=False)
+        return phase
 
     @cached_property
     def momentum_order(self):
@@ -103,10 +115,34 @@ class WaveFunction:
         """Quadrature weight of the current representation (dx or dp)."""
         return self.grid.dx if self.representation is Representation.POSITION else self.grid.dp
 
+    @property
+    def components(self):
+        return (self.amplitudes,)
+
+
+@dataclass(frozen=True)
+class SpinorWaveFunction:
+    """Two-component state; each component is validated as a WaveFunction."""
+    grid: SpatialGrid
+    upper: np.ndarray
+    lower: np.ndarray
+    representation: Representation
+
+    def __post_init__(self):
+        for name in ("upper", "lower"):
+            component = WaveFunction(self.grid, getattr(self, name), self.representation)
+            object.__setattr__(self, name, component.amplitudes)
+
+    weight = WaveFunction.weight
+
+    @property
+    def components(self):
+        return (self.upper, self.lower)
+
 
 def norm(psi):
-    """sqrt(sum |psi_j|^2 * weight); representation independent by unitarity."""
-    return float(np.sqrt(np.sum(np.abs(psi.amplitudes) ** 2) * psi.weight))
+    """sqrt(sum |psi_j|^2 * weight) over all components; representation independent."""
+    return float(np.sqrt(sum(np.sum(np.abs(c) ** 2) for c in psi.components) * psi.weight))
 
 
 def inner(a, b):
@@ -118,29 +154,43 @@ def inner(a, b):
     return complex(np.sum(np.conj(a.amplitudes) * b.amplitudes) * a.weight)
 
 
+def _fourier(grid, amps, target):
+    """Move a writable complex (components, n) array into `target` in place; return it.
+
+    exp(-i p x_j / hbar) = exp(-i p x_min / hbar) * exp(-2 pi i j k / n).
+    """
+    hbar = grid.constants.hbar
+    # one component at a time: numpy's FFT of a 2-D array in place holds a
+    # copy of all of it, 32 MiB more at peak for a spinor at n = 2^20
+    if target is Representation.MOMENTUM:
+        for row in amps:
+            np.fft.fft(row, out=row)
+        amps *= grid.dx / np.sqrt(2.0 * np.pi * hbar)
+        amps *= grid.origin_phase
+    else:
+        amps *= np.conj(grid.origin_phase)
+        for row in amps:
+            np.fft.ifft(row, out=row)
+        amps *= grid.n * grid.dp / np.sqrt(2.0 * np.pi * hbar)
+    return amps
+
+
+def _change(psi, representation):
+    """A scalar or spinor state in `representation` (itself if already there)."""
+    if psi.representation is representation:
+        return psi
+    amps = _fourier(psi.grid, np.stack(psi.components), representation)
+    return type(psi)(psi.grid, *amps, representation)
+
+
 def to_momentum(psi):
     """Change to the momentum representation (identity if already there)."""
-    if psi.representation is Representation.MOMENTUM:
-        return psi
-    g = psi.grid
-    hbar = g.constants.hbar
-    # exp(-i p x_j / hbar) = exp(-i p x_min / hbar) * exp(-2 pi i j k / n)
-    phase = np.exp(-1j * g.momenta * g.x_min / hbar)
-    amps = np.fft.fft(psi.amplitudes) * (g.dx / np.sqrt(2.0 * np.pi * hbar)) * phase
-    return WaveFunction(g, amps, Representation.MOMENTUM)
+    return _change(psi, Representation.MOMENTUM)
 
 
 def to_position(psi):
     """Change to the position representation (identity if already there)."""
-    if psi.representation is Representation.POSITION:
-        return psi
-    g = psi.grid
-    hbar = g.constants.hbar
-    phase = np.exp(1j * g.momenta * g.x_min / hbar)
-    amps = np.fft.ifft(psi.amplitudes * phase) * (
-        g.n * g.dp / np.sqrt(2.0 * np.pi * hbar)
-    )
-    return WaveFunction(g, amps, Representation.POSITION)
+    return _change(psi, Representation.POSITION)
 
 
 def gaussian_packet(grid, center, sigma, momentum=0.0, normalize=True):

@@ -101,29 +101,30 @@ def total_energy_op(grid, particle, dispersion=Dispersion.RELATIVISTIC):
     return DiagonalOperator(Representation.MOMENTUM, values)
 
 
-def velocity_squared_values(grid, particle):
+def velocity_squared_op(grid, particle):
     """v^2(p) = p^2 c^4 / (p^2 c^2 + E_s^2); identically c^2 for a massless particle."""
     _require_same_constants(grid, particle)
     p = grid.momenta
     c = grid.constants.c
     if particle.mass == 0.0:
-        return np.full(grid.n, c**2)
-    return (p * c**2) ** 2 / ((p * c) ** 2 + particle.rest_energy**2)
-
-
-def velocity_squared_op(grid, particle):
-    return DiagonalOperator(Representation.MOMENTUM, velocity_squared_values(grid, particle))
+        values = np.full(grid.n, c**2)
+    else:
+        values = (p * c**2) ** 2 / ((p * c) ** 2 + particle.rest_energy**2)
+    return DiagonalOperator(Representation.MOMENTUM, values)
 
 
 def proper_time_op(grid, particle, t):
-    """Bounded proper-time operator t * sqrt(1 - v^2(p)/c^2).
+    """Bounded proper-time operator t * sqrt(1 - v^2(p)/c^2), eigenvalues between 0 and t.
 
-    The argument of the root is clipped to [0, 1] to absorb one-ulp
-    negatives; the principal root keeps eigenvalues between 0 and t.
+    1 - v^2/c^2 is formed as E_s^2 / (E_s^2 + p^2 c^2); the subtraction would cancel
+    digits as v nears c. Massless: v = c, so 0 (the quotient is 0/0 at p = 0).
     """
+    _require_same_constants(grid, particle)
+    rest2 = particle.rest_energy**2
+    if rest2 == 0.0:
+        return DiagonalOperator(Representation.MOMENTUM, np.zeros(grid.n))
     c = grid.constants.c
-    v2 = velocity_squared_values(grid, particle)
-    values = t * np.sqrt(np.clip(1.0 - v2 / c**2, 0.0, 1.0))
+    values = t * np.sqrt(rest2 / (rest2 + (grid.momenta * c) ** 2))
     return DiagonalOperator(Representation.MOMENTUM, values)
 
 

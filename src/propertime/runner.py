@@ -8,13 +8,7 @@ is a pure function of (scenario, seed).
 import numpy as np
 
 from .frames import semiclassical_phase, velocity_of_time
-from .grid import (
-    Representation,
-    gaussian_packet,
-    make_grid,
-    to_momentum,
-    to_position,
-)
+from .grid import Representation, _fourier, gaussian_packet, make_grid
 from .kernels import (
     AmplitudeKernel,
     ProperTimeAxis,
@@ -29,18 +23,10 @@ from .kernels import (
     squaring_residual,
 )
 from .operators import commutator_xp_expectation, proper_time_op, total_energy_op
-from .propagators import (
-    PropagatorKind,
-    PropagatorSpec,
-    SpinorWaveFunction,
-    positive_energy_spinor,
-    spinor_norm,
-    spinor_to_momentum,
-    spinor_to_position,
-    step_dirac,
-    step_relativistic,
-    step_schrodinger,
-)
+from .propagators import PropagatorKind, PropagatorSpec, evolve, positive_energy_spinor, spectrum
+# bound, not called (samples come from evolve): benchmarks/tracing.py traces what one
+# module imports from another, and the per-layer metrics of BENCHMARK.json name these
+from .propagators import spinor_to_position, step_dirac, step_relativistic, step_schrodinger
 from .report import CheckResult, RunReport
 from .scenario import particle_from
 
@@ -197,28 +183,16 @@ def run_verify(scenario):
 
 # ------------------------------------------------------------- propagate
 
-def _observables(grid, t, density_x, density_p):
-    """Sample row from |psi(x)|^2 and |phi(p)|^2, summed over spinor components."""
-    rho_x = density_x * grid.dx
-    rho_p = density_p * grid.dp
+def _observables(grid, t, phi):
+    """Sample row from momentum amplitudes of shape (components, n), summed over
+    components; `phi` is moved to the position representation in place."""
+    rho_p = np.sum(np.abs(phi) ** 2, axis=0) * grid.dp
+    rho_x = np.sum(np.abs(_fourier(grid, phi, Representation.POSITION)) ** 2, axis=0) * grid.dx
     n2 = float(np.sum(rho_x))
     x_mean = float(np.sum(grid.positions * rho_x) / n2)
     p_mean = float(np.sum(grid.momenta * rho_p) / np.sum(rho_p))
     x_var = float(np.sum((grid.positions - x_mean) ** 2 * rho_x) / n2)
     return [t, float(np.sqrt(n2)), x_mean, p_mean, float(np.sqrt(x_var))]
-
-
-def _scalar_densities(psi):
-    return np.abs(to_position(psi).amplitudes) ** 2, np.abs(to_momentum(psi).amplitudes) ** 2
-
-
-def _spinor_densities(spinor):
-    pos = spinor_to_position(spinor)
-    mom = spinor_to_momentum(spinor)
-    return (
-        np.abs(pos.upper) ** 2 + np.abs(pos.lower) ** 2,
-        np.abs(mom.upper) ** 2 + np.abs(mom.lower) ** 2,
-    )
 
 
 def run_propagate(scenario):
@@ -227,48 +201,26 @@ def run_propagate(scenario):
     particle = particle_from(scenario)
     spec = PropagatorSpec(params.kind, particle, params.dt)
     init = params.initial
+    # phi_0, shape (components, n): the packet, times the positive-energy spinor for Dirac
+    packet = gaussian_packet(grid, init.center, init.sigma, init.momentum).amplitudes
+    dirac = params.kind is PropagatorKind.DIRAC_1D
+    spinor = positive_energy_spinor(init.momentum, particle) if dirac else (1.0,)
+    phi0 = _fourier(grid, np.array(spinor)[:, None] * packet, Representation.MOMENTUM)
+    del packet  # no sample needs it: 16 MiB at n = 2^20
+    energies, mixing = spectrum(grid, spec)
 
-    samples = []
-    if params.kind is PropagatorKind.DIRAC_1D:
-        envelope = gaussian_packet(grid, init.center, init.sigma, init.momentum)
-        u0, l0 = positive_energy_spinor(init.momentum, particle)
-        state = SpinorWaveFunction(
-            grid, u0 * envelope.amplitudes, l0 * envelope.amplitudes,
-            Representation.POSITION,
-        )
-        scale = spinor_norm(state)
-        state = SpinorWaveFunction(
-            grid, state.upper / scale, state.lower / scale, Representation.POSITION
-        )
-        state = spinor_to_momentum(state)
-        densities, advance = _spinor_densities, step_dirac
-    else:
-        state = to_momentum(gaussian_packet(grid, init.center, init.sigma, init.momentum))
-        densities = _scalar_densities
-        advance = (
-            step_schrodinger if params.kind is PropagatorKind.SCHRODINGER else step_relativistic
-        )
+    # each sample in closed form from phi_0, so dt and steps only set the times
+    times = [k * params.dt for k in range(0, params.steps + 1, params.sample_every)]
+    hbar = grid.constants.hbar
+    samples = [_observables(grid, t, evolve(phi0, t, hbar, energies, mixing)) for t in times]
 
-    samples.append(_observables(grid, 0.0, *densities(state)))
-    for step_index in range(1, params.steps + 1):
-        state = advance(state, spec)
-        if step_index % params.sample_every == 0:
-            samples.append(_observables(grid, step_index * params.dt, *densities(state)))
-
-    checks = [
-        CheckResult(
-            "norm_conservation",
-            max(abs(row[1] - 1.0) for row in samples),
-            1e-9,
-        )
-    ]
+    # np.max, unlike max, returns a NaN it meets, so a NaN row fails the check
+    t, norms, widths = np.array(samples)[:, [0, 1, 4]].T
+    checks = [CheckResult("norm_conservation", float(np.max(np.abs(norms - 1.0))), 1e-9)]
     if params.kind is PropagatorKind.SCHRODINGER:
-        hbar = scenario.constants.hbar
         s0 = init.sigma
-        worst = 0.0
-        for row in samples:
-            law = s0**2 * (1.0 + (hbar * row[0] / (2.0 * particle.mass * s0**2)) ** 2)
-            worst = max(worst, abs(row[4] ** 2 - law) / law)
+        law = s0**2 * (1.0 + (hbar * t / (2.0 * particle.mass * s0**2)) ** 2)
+        worst = float(np.max(np.abs(widths**2 - law) / law))
         checks.append(CheckResult("gaussian_width_law", worst, 1e-6))
 
     report = RunReport(_echo(scenario), scenario.seed, checks)
@@ -338,13 +290,12 @@ def _echo(scenario):
         "constants": {"hbar": scenario.constants.hbar, "c": scenario.constants.c},
     }
     params = scenario.params
-    if scenario.kind == "verify":
+    if scenario.kind != "frame":
         doc["grid"] = {"n": params.grid.n, "x_min": params.grid.x_min, "x_max": params.grid.x_max}
-        doc["mass"] = params.mass
+    doc["mass"] = params.mass
+    if scenario.kind == "verify":
         doc["reference_time"] = params.reference_time
     elif scenario.kind == "propagate":
-        doc["grid"] = {"n": params.grid.n, "x_min": params.grid.x_min, "x_max": params.grid.x_max}
-        doc["mass"] = params.mass
         doc["propagator"] = {
             "kind": params.kind.value,
             "dt": params.dt,
@@ -357,7 +308,6 @@ def _echo(scenario):
             "momentum": params.initial.momentum,
         }
     else:
-        doc["mass"] = params.mass
         doc["trajectory"] = {
             "path": params.trajectory_path,
             "interpolation": params.trajectory.interpolation,

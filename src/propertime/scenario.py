@@ -11,6 +11,7 @@ number must be in range, before run() touches any physics.
 """
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -26,6 +27,9 @@ class ScenarioError(ValueError):
 
 
 KINDS = ("verify", "propagate", "frame")
+
+# bounds the rows a propagate report holds (5 floats each, in memory and on disk)
+MAX_SAMPLES = 2**20
 
 PROPAGATOR_NAMES = {
     "schrodinger": PropagatorKind.SCHRODINGER,
@@ -86,6 +90,13 @@ class Scenario:
     path: str = ""
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)  # _fetch names the key
+    return value
+
+
 class _Section:
     """Typed access to one config section with key-level diagnostics."""
 
@@ -108,7 +119,7 @@ class _Section:
             ) from None
 
     def get_float(self, key, default=None):
-        return self._fetch(key, float, default)
+        return self._fetch(key, _finite_float, default)
 
     def get_int(self, key, default=None):
         return self._fetch(key, int, default)
@@ -117,7 +128,7 @@ class _Section:
         return self._fetch(key, str, default)
 
     def get_floats(self, key, default=None):
-        return self._fetch(key, lambda s: tuple(float(tok) for tok in s.split()), default)
+        return self._fetch(key, lambda s: tuple(map(_finite_float, s.split())), default)
 
 
 def _require_positive(path, label, value):
@@ -211,13 +222,16 @@ def parse_scenario(path):
                 momentum=init.get_float("momentum", 0.0),
             ),
         )
+        rows = params.steps // params.sample_every + 1
+        if rows > MAX_SAMPLES:
+            raise ScenarioError(f"{path}: [propagator] {rows} sample rows, above {MAX_SAMPLES}")
     else:
         traj = _Section(parser, "trajectory", path)
         if not traj.present:
             raise ScenarioError(f"{path}: frame scenario needs a [trajectory] section")
-        traj_path = traj.get_str("path")
-        if not os.path.isabs(traj_path):
-            traj_path = os.path.join(os.path.dirname(os.path.abspath(path)), traj_path)
+        # the report echoes the path as written: the same wherever the scenario lies
+        written_path = traj.get_str("path")
+        traj_path = os.path.join(os.path.dirname(os.path.abspath(path)), written_path)
         if not os.path.exists(traj_path):
             raise ScenarioError(f"{path}: trajectory file not found: {traj_path}")
         interpolation = traj.get_str("interpolation", "cubic_hermite")
@@ -238,7 +252,7 @@ def parse_scenario(path):
             )
         params = FrameParams(
             mass=_parse_mass(particle, path, require_positive=True),
-            trajectory_path=traj_path,
+            trajectory_path=written_path,
             trajectory=loaded,
             quadrature=quadrature,
             panels=panels,

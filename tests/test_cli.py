@@ -4,6 +4,7 @@ import builtins
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -130,6 +131,41 @@ def test_propagate_matches_width_oracle(tmp_path):
         assert abs(width - law) / law < 1e-6
 
 
+@pytest.mark.parametrize("kind", ["schrodinger", "relativistic_sqrt", "dirac_1d"])
+def test_propagate_rows_depend_only_on_sample_times(tmp_path, kind):
+    # t = 0, 0.25, ..., 2 reached by 1024 steps of 2^-9 and by 8 steps of 2^-2
+    base = SPREADING.replace("kind = schrodinger", f"kind = {kind}") + "momentum = 1.0\n"
+    fine = base.replace("dt = 0.002", "dt = 0.001953125").replace(
+        "steps = 1000", "steps = 1024").replace("sample_every = 100", "sample_every = 128")
+    coarse = base.replace("dt = 0.002", "dt = 0.25").replace(
+        "steps = 1000", "steps = 8").replace("sample_every = 100", "sample_every = 1")
+    rows_fine = run(parse_scenario(write(tmp_path, fine, "fine.cfg"))).samples
+    rows_coarse = run(parse_scenario(write(tmp_path, coarse, "coarse.cfg"))).samples
+    assert [row[0] for row in rows_fine] == [0.25 * k for k in range(9)]
+    assert rows_fine == rows_coarse
+
+
+def test_non_finite_sample_fails_norm_check(tmp_path):
+    # t E(p) / hbar overflows at t = 1e308, so the sampled state is NaN
+    body = SPREADING.replace("dt = 0.002", "dt = 1e308").replace(
+        "steps = 1000", "steps = 1").replace("sample_every = 100", "sample_every = 1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run(parse_scenario(write(tmp_path, body)))
+    assert [c.name for c in report.checks] == ["norm_conservation", "gaussian_width_law"]
+    for check in report.checks:
+        assert math.isnan(check.value) and not check.passed
+
+
+def test_verify_passes_on_wide_momentum_grid(tmp_path):
+    # n = 16384 on [-32, 32): p reaches 804 mc, where 1 - v^2/c^2 formed by
+    # subtraction loses the digits proper_time_spectrum checks
+    body = VERIFY.replace("seed = 7", "seed = 1").replace("n = 256", "n = 16384").replace(
+        "x_min = -16.0\nx_max = 16.0", "x_min = -32.0\nx_max = 32.0")
+    report = run(parse_scenario(write(tmp_path, body)))
+    assert report.scenario["grid"]["n"] == 16384
+    assert report.passed, [c for c in report.checks if not c.passed]
+
+
 def test_frame_report_tracks_quadrature(tmp_path):
     report = run(parse_scenario(write_frame(tmp_path)))
     assert report.passed
@@ -148,6 +184,20 @@ def test_frame_scenario_matches_gudermannian_oracle():
     for row in report.samples:
         t, ts = row[cols.index("t")], row[cols.index("proper_time")]
         assert abs(ts - 2.0 * math.atan(math.tanh(t / 2.0))) < 1e-9
+
+
+def test_frame_reports_identical_across_directories(tmp_path):
+    reports = []
+    for name in ("a", "b"):
+        where = tmp_path / name
+        where.mkdir()
+        for fname in ("frame_tanh.cfg", "tanh.traj"):
+            shutil.copy(SCENARIOS / fname, where / fname)
+        out = where / "report.json"
+        assert main(["frame", str(where / "frame_tanh.cfg"), "--out", str(out), "--quiet"]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["scenario"]["trajectory"]["path"] == "tanh.traj"
 
 
 def test_json_structure_three_checks():
@@ -297,7 +347,40 @@ def panels_over_bound(tmp_path):
     return "frame", path, "[trajectory] panel count"
 
 
-@pytest.mark.parametrize("case", [underflowing_packet, panels_over_bound])
+def nan_output_time(tmp_path):
+    path = write_frame(tmp_path)
+    text = Path(path).read_text().replace("times = 0.25", "times = nan 0.25")
+    Path(path).write_text(text)
+    return "frame", path, "[trajectory] times"
+
+
+def infinite_dt(tmp_path):
+    body = SPREADING.replace("dt = 0.002", "dt = inf")
+    return "propagate", write(tmp_path, body), "[propagator] dt"
+
+
+def nan_momentum(tmp_path):
+    return "propagate", write(tmp_path, SPREADING + "momentum = nan\n"), "[initial] momentum"
+
+
+def grid_over_bound(tmp_path):
+    # 2^23 nodes, rejected at parse before any array is allocated
+    body = SPREADING.replace("n = 512", "n = 8388608")
+    return "propagate", write(tmp_path, body), "[grid] grid size must be at most"
+
+
+def sample_rows_over_bound(tmp_path):
+    # 2^20 + 1 rows, rejected at parse before any sample is taken
+    body = SPREADING.replace("steps = 1000", "steps = 1048576").replace(
+        "sample_every = 100", "sample_every = 1")
+    return "propagate", write(tmp_path, body), "sample rows"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [underflowing_packet, panels_over_bound, nan_output_time, infinite_dt, nan_momentum,
+     grid_over_bound, sample_rows_over_bound],
+)
 def test_cli_exit_two_with_one_line_on_bad_input(tmp_path, capsys, case):
     command, path, message = case(tmp_path)
     assert main([command, path, "--out", str(tmp_path / "r.json")]) == 2

@@ -164,6 +164,18 @@ def test_proper_time_bounds_and_monotonicity():
             assert np.all(np.diff(by_speed) >= 0.0)
 
 
+@pytest.mark.parametrize("c", [1.0, 3.0])
+def test_proper_time_equals_rest_over_total_energy_at_every_node(c):
+    # p reaches 3217 mc: 1 - v^2/c^2 formed by subtraction is off by 1.8e-13 (c = 1)
+    constants = PhysicalConstants(c=c)
+    g = make_grid(65536, -32.0, 32.0, constants)
+    m = ParticleSpec(1.0, constants)
+    t = 2.0
+    values = proper_time_op(g, m, t).values.real
+    energies = total_energy_op(g, m).values.real
+    assert np.max(np.abs(values - t * m.rest_energy / energies)) <= 1e-15 * t
+
+
 def test_operator_constructors_are_hermitian():
     g = make_grid(64, -8.0, 8.0)
     m = ParticleSpec(1.0)
