@@ -35,7 +35,6 @@ from .operators import (
 )
 from .kernels import (
     AmplitudeKernel,
-    KernelMatrix,
     ProperTimeAxis,
     SquaringVariant,
     build_kernel_matrix,

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from .report import emit, to_csv, to_json
 from .runner import run
-from .scenario import ScenarioError, parse_scenario
+from .scenario import KINDS, ScenarioError, parse_scenario
 
 USAGE_ERROR = 2
 
@@ -28,7 +28,7 @@ def build_parser():
         "suites, spectral propagation, accelerating-frame phases.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "propagate", "frame"):
+    for name in KINDS:
         cmd = sub.add_parser(name, help=f"run a {name} scenario")
         cmd.add_argument("scenario", help="path to the scenario file")
         cmd.add_argument("--seed", type=int, default=None, help="override the scenario seed")

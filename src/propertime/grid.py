@@ -81,13 +81,6 @@ class SpatialGrid:
         phase.setflags(write=False)
         return phase
 
-    @cached_property
-    def momentum_order(self):
-        """Indices that sort the FFT-ordered momenta monotonically (for reports)."""
-        order = np.argsort(self.momenta)
-        order.setflags(write=False)
-        return order
-
 
 def make_grid(n, x_min, x_max, constants=NATURAL_UNITS):
     return SpatialGrid(int(n), float(x_min), float(x_max), constants)
@@ -200,20 +193,27 @@ def gaussian_packet(grid, center, sigma, momentum=0.0, normalize=True):
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    hbar = grid.constants.hbar
-    x = grid.positions
-    psi = (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(
-        -((x - center) ** 2) / (4.0 * sigma**2) + 1j * momentum * (x - center) / hbar
-    )
-    wf = WaveFunction(grid, psi, Representation.POSITION)
+    # one complex buffer built in place (the WaveFunction then holds one copy),
+    # by the same floating-point operations as the docstring's expression, so
+    # the values are bitwise those of evaluating it directly
+    shift = grid.positions - center
+    psi = 1j * momentum * shift
+    psi /= grid.constants.hbar
+    shift **= 2
+    np.negative(shift, out=shift)
+    shift /= 4.0 * sigma**2
+    psi += shift
+    del shift
+    np.exp(psi, out=psi)
+    psi *= (2.0 * np.pi * sigma**2) ** (-0.25)
     if normalize:
-        scale = norm(wf)
+        scale = np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)  # norm() of the packet
         if scale == 0.0:
             raise ValueError(
                 f"packet at {center} underflows to zero on [{grid.x_min}, {grid.x_max})"
             )
-        wf = WaveFunction(grid, wf.amplitudes / scale, Representation.POSITION)
-    return wf
+        psi /= scale
+    return WaveFunction(grid, psi, Representation.POSITION)
 
 
 def boundary_amplitude(psi):

@@ -17,7 +17,6 @@ with spectrum in [0, t] for t > 0 ([t, 0] for t < 0).
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .constants import NATURAL_UNITS, PhysicalConstants
 from .grid import Representation, WaveFunction, inner, to_momentum, to_position, boundary_amplitude
 
 EDGE_DECAY_THRESHOLD = 1e-10
-FLAG_TOLERANCE = 1e-14
 
 
 class Dispersion(Enum):
@@ -58,16 +56,6 @@ class DiagonalOperator:
             raise ValueError("operator values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @cached_property
-    def hermitian(self):
-        return bool(np.max(np.abs(self.values.imag), initial=0.0) <= FLAG_TOLERANCE)
-
-    @cached_property
-    def unitary(self):
-        return bool(
-            np.max(np.abs(np.abs(self.values) - 1.0), initial=0.0) <= FLAG_TOLERANCE
-        )
 
 
 def _require_same_constants(grid, particle):

@@ -3,9 +3,13 @@
 Reports are deterministic: floats are serialized with repr (shortest
 round-trip decimal), orderings are fixed, and no wall-clock data enters
 the emitted bytes, so identical scenario + seed gives identical files.
+JSON is strict: a non-finite value (nan, +-inf) is written as null, and a
+check's verdict stays in its "passed" field. CSV writes such a value as repr
+does (nan, inf).
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -44,7 +48,9 @@ class RunReport:
 
 
 def _as_float(x):
-    return float(x)
+    """A JSON number, or None (null) for a value strict JSON has no number for."""
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 def to_json(report):
@@ -67,14 +73,14 @@ def to_json(report):
         },
         "passed": bool(report.passed),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def to_csv(report):
     """One row per sample; header always present, so no samples means header only."""
     lines = [",".join(report.sample_columns)]
     for row in report.samples:
-        lines.append(",".join(repr(_as_float(v)) for v in row))
+        lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,7 @@ is a pure function of (scenario, seed).
 import numpy as np
 
 from .frames import semiclassical_phase, velocity_of_time
-from .grid import Representation, _fourier, gaussian_packet, make_grid
+from .grid import Representation, _fourier, gaussian_packet
 from .kernels import (
     AmplitudeKernel,
     ProperTimeAxis,
@@ -23,12 +23,11 @@ from .kernels import (
     squaring_residual,
 )
 from .operators import commutator_xp_expectation, proper_time_op, total_energy_op
-from .propagators import PropagatorKind, PropagatorSpec, evolve, positive_energy_spinor, spectrum
+from .propagators import PropagatorKind, evolve, positive_energy_spinor, spectrum
 # bound, not called (samples come from evolve): benchmarks/tracing.py traces what one
 # module imports from another, and the per-layer metrics of BENCHMARK.json name these
 from .propagators import spinor_to_position, step_dirac, step_relativistic, step_schrodinger
 from .report import CheckResult, RunReport
-from .scenario import particle_from
 
 
 def run(scenario):
@@ -166,8 +165,7 @@ def _linearity_check(constants):
 def run_verify(scenario):
     params = scenario.params
     rng = np.random.default_rng(scenario.seed)
-    grid = make_grid(params.grid.n, params.grid.x_min, params.grid.x_max, scenario.constants)
-    particle = particle_from(scenario)
+    grid = params.grid
     checks = [
         _commutator_check(grid, rng),
         *_squaring_checks(scenario.constants, rng),
@@ -175,10 +173,10 @@ def run_verify(scenario):
         *_modulus_checks(scenario.constants),
         *_energy_derivative_checks(scenario.constants),
         _endpoint_check(scenario.constants),
-        _spectrum_check(grid, particle, params.reference_time, rng),
+        _spectrum_check(grid, params.particle, params.reference_time, rng),
         _linearity_check(scenario.constants),
     ]
-    return RunReport(_echo(scenario), scenario.seed, checks)
+    return RunReport(scenario.echo, scenario.seed, checks)
 
 
 # ------------------------------------------------------------- propagate
@@ -197,33 +195,32 @@ def _observables(grid, t, phi):
 
 def run_propagate(scenario):
     params = scenario.params
-    grid = make_grid(params.grid.n, params.grid.x_min, params.grid.x_max, scenario.constants)
-    particle = particle_from(scenario)
-    spec = PropagatorSpec(params.kind, particle, params.dt)
+    grid, spec = params.grid, params.spec
+    particle = spec.particle
     init = params.initial
     # phi_0, shape (components, n): the packet, times the positive-energy spinor for Dirac
     packet = gaussian_packet(grid, init.center, init.sigma, init.momentum).amplitudes
-    dirac = params.kind is PropagatorKind.DIRAC_1D
+    dirac = spec.kind is PropagatorKind.DIRAC_1D
     spinor = positive_energy_spinor(init.momentum, particle) if dirac else (1.0,)
     phi0 = _fourier(grid, np.array(spinor)[:, None] * packet, Representation.MOMENTUM)
     del packet  # no sample needs it: 16 MiB at n = 2^20
     energies, mixing = spectrum(grid, spec)
 
     # each sample in closed form from phi_0, so dt and steps only set the times
-    times = [k * params.dt for k in range(0, params.steps + 1, params.sample_every)]
+    times = [k * spec.dt for k in range(0, params.steps + 1, params.sample_every)]
     hbar = grid.constants.hbar
     samples = [_observables(grid, t, evolve(phi0, t, hbar, energies, mixing)) for t in times]
 
     # np.max, unlike max, returns a NaN it meets, so a NaN row fails the check
     t, norms, widths = np.array(samples)[:, [0, 1, 4]].T
     checks = [CheckResult("norm_conservation", float(np.max(np.abs(norms - 1.0))), 1e-9)]
-    if params.kind is PropagatorKind.SCHRODINGER:
+    if spec.kind is PropagatorKind.SCHRODINGER:
         s0 = init.sigma
         law = s0**2 * (1.0 + (hbar * t / (2.0 * particle.mass * s0**2)) ** 2)
         worst = float(np.max(np.abs(widths**2 - law) / law))
         checks.append(CheckResult("gaussian_width_law", worst, 1e-6))
 
-    report = RunReport(_echo(scenario), scenario.seed, checks)
+    report = RunReport(scenario.echo, scenario.seed, checks)
     report.sample_columns = ["t", "norm", "x_mean", "p_mean", "width"]
     report.samples = samples
     return report
@@ -233,7 +230,7 @@ def run_propagate(scenario):
 
 def run_frame(scenario):
     params = scenario.params
-    particle = particle_from(scenario)
+    particle = params.particle
     traj = params.trajectory
     times = np.sort(np.asarray(params.times, dtype=float))
     result = semiclassical_phase(
@@ -267,7 +264,7 @@ def run_frame(scenario):
         CheckResult("proper_time_monotone", monotone, 1e-12 * (1.0 + t_max)),
     ]
 
-    report = RunReport(_echo(scenario), scenario.seed, checks)
+    report = RunReport(scenario.echo, scenario.seed, checks)
     report.sample_columns = [
         "t",
         "proper_time",
@@ -280,39 +277,3 @@ def run_frame(scenario):
     report.samples = samples
     return report
 
-
-# ------------------------------------------------------------------ echo
-
-def _echo(scenario):
-    doc = {
-        "name": scenario.name,
-        "kind": scenario.kind,
-        "constants": {"hbar": scenario.constants.hbar, "c": scenario.constants.c},
-    }
-    params = scenario.params
-    if scenario.kind != "frame":
-        doc["grid"] = {"n": params.grid.n, "x_min": params.grid.x_min, "x_max": params.grid.x_max}
-    doc["mass"] = params.mass
-    if scenario.kind == "verify":
-        doc["reference_time"] = params.reference_time
-    elif scenario.kind == "propagate":
-        doc["propagator"] = {
-            "kind": params.kind.value,
-            "dt": params.dt,
-            "steps": params.steps,
-            "sample_every": params.sample_every,
-        }
-        doc["initial"] = {
-            "center": params.initial.center,
-            "sigma": params.initial.sigma,
-            "momentum": params.initial.momentum,
-        }
-    else:
-        doc["trajectory"] = {
-            "path": params.trajectory_path,
-            "interpolation": params.trajectory.interpolation,
-            "quadrature": params.quadrature,
-            "panels": params.panels,
-            "times": list(params.times),
-        }
-    return doc

@@ -1,4 +1,4 @@
-"""Scenario files: sectioned key = value text, validated before any computation.
+"""Scenario files: sectioned key = value text, parsed once into the run's objects.
 
 Three scenario kinds share a [scenario] and a [constants] section:
 
@@ -6,20 +6,25 @@ Three scenario kinds share a [scenario] and a [constants] section:
   propagate  [grid] [particle] [propagator] [initial]   wavepacket evolution
   frame      [particle] [trajectory]           proper-time / phase series
 
-Validation is fail-fast: every referenced file must exist and parse, every
-number must be in range, before run() touches any physics.
+Parsing is fail-fast: every referenced file must exist and parse, every
+number must be in range, before run() touches any physics. The constants,
+grid, particle, propagator and trajectory are built here by their own types,
+which own their rules; a rule they reject is reported against its section.
+Every value read, defaults included, is recorded in reading order as the
+scenario echo that heads the report. This is the one module that knows the
+file's schema.
 """
 
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import PhysicalConstants
 from .frames import Trajectory, check_quadrature, load_trajectory
-from .grid import make_grid
+from .grid import SpatialGrid, make_grid
 from .operators import ParticleSpec
-from .propagators import PropagatorKind
+from .propagators import PropagatorKind, PropagatorSpec
 
 
 class ScenarioError(ValueError):
@@ -37,34 +42,28 @@ PROPAGATOR_NAMES = {
     "dirac_1d": PropagatorKind.DIRAC_1D,
 }
 
-
-@dataclass(frozen=True)
-class GridParams:
-    n: int = 512
-    x_min: float = -32.0
-    x_max: float = 32.0
+# sections whose keys the echo lists at its top level; the others nest under their name
+FLAT_SECTIONS = ("scenario", "particle", "verify")
 
 
 @dataclass(frozen=True)
 class InitialPacket:
-    center: float = 0.0
-    sigma: float = 1.0
-    momentum: float = 0.0
+    center: float
+    sigma: float
+    momentum: float
 
 
 @dataclass(frozen=True)
 class VerifyParams:
-    grid: GridParams = field(default_factory=GridParams)
-    mass: float = 1.0
-    reference_time: float = 2.0
+    grid: SpatialGrid
+    particle: ParticleSpec
+    reference_time: float
 
 
 @dataclass(frozen=True)
 class PropagateParams:
-    grid: GridParams
-    mass: float
-    kind: PropagatorKind
-    dt: float
+    grid: SpatialGrid
+    spec: PropagatorSpec
     steps: int
     sample_every: int
     initial: InitialPacket
@@ -72,7 +71,7 @@ class PropagateParams:
 
 @dataclass(frozen=True)
 class FrameParams:
-    mass: float
+    particle: ParticleSpec
     trajectory_path: str
     trajectory: Trajectory
     quadrature: str
@@ -87,7 +86,7 @@ class Scenario:
     constants: PhysicalConstants
     seed: int
     params: object
-    path: str = ""
+    echo: dict
 
 
 def _finite_float(text):
@@ -98,25 +97,33 @@ def _finite_float(text):
 
 
 class _Section:
-    """Typed access to one config section with key-level diagnostics."""
+    """Typed access to one config section with key-level diagnostics.
 
-    def __init__(self, parser, name, path):
+    Each value returned, defaults included, is recorded in `echo`.
+    """
+
+    def __init__(self, parser, name, path, echo):
         self.name = name
         self.path = path
         self.data = dict(parser[name]) if parser.has_section(name) else {}
         self.present = parser.has_section(name)
+        self.echo = echo
 
     def _fetch(self, key, cast, default):
-        if key not in self.data:
-            if default is not None:
-                return default
+        if key in self.data:
+            try:
+                value = cast(self.data[key])
+            except ValueError:
+                raise ScenarioError(
+                    f"{self.path}: bad value for [{self.name}] {key}: {self.data[key]!r}"
+                ) from None
+        elif default is not None:
+            value = default
+        else:
             raise ScenarioError(f"{self.path}: missing key [{self.name}] {key}")
-        try:
-            return cast(self.data[key])
-        except ValueError:
-            raise ScenarioError(
-                f"{self.path}: bad value for [{self.name}] {key}: {self.data[key]!r}"
-            ) from None
+        flat = self.name in FLAT_SECTIONS
+        (self.echo if flat else self.echo.setdefault(self.name, {}))[key] = value
+        return value
 
     def get_float(self, key, default=None):
         return self._fetch(key, _finite_float, default)
@@ -130,6 +137,13 @@ class _Section:
     def get_floats(self, key, default=None):
         return self._fetch(key, lambda s: tuple(map(_finite_float, s.split())), default)
 
+    def build(self, factory, *args):
+        """factory(*args), with a ValueError it raises reported against this section."""
+        try:
+            return factory(*args)
+        except ValueError as exc:
+            raise ScenarioError(f"{self.path}: [{self.name}] {exc}") from None
+
 
 def _require_positive(path, label, value):
     if not value > 0:
@@ -137,24 +151,18 @@ def _require_positive(path, label, value):
     return value
 
 
-def _parse_grid(section, path):
+def _parse_grid(section, constants):
     n = section.get_int("n", 512)
     x_min = section.get_float("x_min", -32.0)
     x_max = section.get_float("x_max", 32.0)
-    params = GridParams(n, x_min, x_max)
-    try:
-        make_grid(params.n, params.x_min, params.x_max)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: [grid] {exc}") from None
-    return params
+    return section.build(make_grid, n, x_min, x_max, constants)
 
 
-def _parse_mass(section, path, require_positive=False):
+def _parse_particle(section, constants, require_positive):
     mass = section.get_float("mass", 1.0)
-    if mass < 0 or (require_positive and mass == 0):
-        bound = "positive" if require_positive else "nonnegative"
-        raise ScenarioError(f"{path}: [particle] mass must be {bound}, got {mass}")
-    return mass
+    if require_positive:
+        _require_positive(section.path, "[particle] mass", mass)
+    return section.build(ParticleSpec, mass, constants)
 
 
 def parse_scenario(path):
@@ -168,7 +176,12 @@ def parse_scenario(path):
     except configparser.Error as exc:
         raise ScenarioError(f"{path}: {exc}") from None
 
-    scenario = _Section(parser, "scenario", path)
+    echo = {}
+
+    def section(name):
+        return _Section(parser, name, path, echo)
+
+    scenario = section("scenario")
     if not scenario.present:
         raise ScenarioError(f"{path}: missing [scenario] section")
     name = scenario.get_str("name")
@@ -176,25 +189,23 @@ def parse_scenario(path):
     if kind not in KINDS:
         raise ScenarioError(f"{path}: [scenario] kind must be one of {KINDS}, got {kind!r}")
     seed = scenario.get_int("seed", 42)
+    del echo["seed"]  # the report carries the seed it ran with, which --seed may override
 
-    const = _Section(parser, "constants", path)
-    hbar = _require_positive(path, "[constants] hbar", const.get_float("hbar", 1.0))
-    c = _require_positive(path, "[constants] c", const.get_float("c", 1.0))
-    constants = PhysicalConstants(hbar, c)
-
-    particle = _Section(parser, "particle", path)
+    const = section("constants")
+    hbar, c = const.get_float("hbar", 1.0), const.get_float("c", 1.0)
+    constants = const.build(PhysicalConstants, hbar, c)
 
     if kind == "verify":
-        verify = _Section(parser, "verify", path)
+        grid = _parse_grid(section("grid"), constants)
+        particle = _parse_particle(section("particle"), constants, require_positive=True)
+        reference_time = section("verify").get_float("reference_time", 2.0)
         params = VerifyParams(
-            grid=_parse_grid(_Section(parser, "grid", path), path),
-            mass=_parse_mass(particle, path, require_positive=True),
-            reference_time=_require_positive(
-                path, "[verify] reference_time", verify.get_float("reference_time", 2.0)
-            ),
+            grid, particle, _require_positive(path, "[verify] reference_time", reference_time)
         )
     elif kind == "propagate":
-        prop = _Section(parser, "propagator", path)
+        grid = _parse_grid(section("grid"), constants)
+        particle = _parse_particle(section("particle"), constants, require_positive=False)
+        prop = section("propagator")
         if not prop.present:
             raise ScenarioError(f"{path}: propagate scenario needs a [propagator] section")
         kind_name = prop.get_str("kind")
@@ -203,30 +214,25 @@ def parse_scenario(path):
                 f"{path}: [propagator] kind must be one of "
                 f"{tuple(PROPAGATOR_NAMES)}, got {kind_name!r}"
             )
-        pkind = PROPAGATOR_NAMES[kind_name]
-        mass = _parse_mass(particle, path, require_positive=(pkind is PropagatorKind.SCHRODINGER))
-        init = _Section(parser, "initial", path)
-        sigma = _require_positive(path, "[initial] sigma", init.get_float("sigma", 1.0))
-        params = PropagateParams(
-            grid=_parse_grid(_Section(parser, "grid", path), path),
-            mass=mass,
-            kind=pkind,
-            dt=_require_positive(path, "[propagator] dt", prop.get_float("dt")),
-            steps=_require_positive(path, "[propagator] steps", prop.get_int("steps")),
-            sample_every=_require_positive(
-                path, "[propagator] sample_every", prop.get_int("sample_every", 1)
-            ),
-            initial=InitialPacket(
-                center=init.get_float("center", 0.0),
-                sigma=sigma,
-                momentum=init.get_float("momentum", 0.0),
-            ),
+        dt = prop.get_float("dt")
+        spec = prop.build(PropagatorSpec, PROPAGATOR_NAMES[kind_name], particle, dt)
+        steps = _require_positive(path, "[propagator] steps", prop.get_int("steps"))
+        sample_every = _require_positive(
+            path, "[propagator] sample_every", prop.get_int("sample_every", 1)
         )
-        rows = params.steps // params.sample_every + 1
+        rows = steps // sample_every + 1
         if rows > MAX_SAMPLES:
             raise ScenarioError(f"{path}: [propagator] {rows} sample rows, above {MAX_SAMPLES}")
+        init = section("initial")
+        initial = InitialPacket(
+            center=init.get_float("center", 0.0),
+            sigma=_require_positive(path, "[initial] sigma", init.get_float("sigma", 1.0)),
+            momentum=init.get_float("momentum", 0.0),
+        )
+        params = PropagateParams(grid, spec, steps, sample_every, initial)
     else:
-        traj = _Section(parser, "trajectory", path)
+        particle = _parse_particle(section("particle"), constants, require_positive=True)
+        traj = section("trajectory")
         if not traj.present:
             raise ScenarioError(f"{path}: frame scenario needs a [trajectory] section")
         # the report echoes the path as written: the same wherever the scenario lies
@@ -241,27 +247,12 @@ def parse_scenario(path):
         if not times:
             raise ScenarioError(f"{path}: [trajectory] times must list at least one value")
         # fail fast: check the rule, parse the trajectory and bound the output times now
-        try:
-            check_quadrature(quadrature, panels)
-            loaded = load_trajectory(traj_path, interpolation, constants)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: [trajectory] {exc}") from None
+        traj.build(check_quadrature, quadrature, panels)
+        loaded = traj.build(load_trajectory, traj_path, interpolation, constants)
         if any(t < 0 or t > loaded.horizon for t in times):
             raise ScenarioError(
                 f"{path}: [trajectory] times must lie within [0, {loaded.horizon}]"
             )
-        params = FrameParams(
-            mass=_parse_mass(particle, path, require_positive=True),
-            trajectory_path=written_path,
-            trajectory=loaded,
-            quadrature=quadrature,
-            panels=panels,
-            times=times,
-        )
+        params = FrameParams(particle, written_path, loaded, quadrature, panels, times)
 
-    return Scenario(name, kind, constants, seed, params, path)
-
-
-def particle_from(scenario):
-    mass = scenario.params.mass
-    return ParticleSpec(mass, scenario.constants)
+    return Scenario(name, kind, constants, seed, params, echo)

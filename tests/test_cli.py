@@ -156,6 +156,23 @@ def test_non_finite_sample_fails_norm_check(tmp_path):
         assert math.isnan(check.value) and not check.passed
 
 
+def test_non_finite_values_are_strict_json_null(tmp_path):
+    body = SPREADING.replace("dt = 0.002", "dt = 1e308").replace(
+        "steps = 1000", "steps = 1").replace("sample_every = 100", "sample_every = 1")
+    out = tmp_path / "nan.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["propagate", write(tmp_path, body), "--out", str(out), "--quiet"]) == 1
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert doc["passed"] is False
+    for check in doc["checks"]:
+        assert check["value"] is None and check["passed"] is False
+    assert doc["samples"]["rows"][1][1:] == [None, None, None, None]
+
+
 def test_verify_passes_on_wide_momentum_grid(tmp_path):
     # n = 16384 on [-32, 32): p reaches 804 mc, where 1 - v^2/c^2 formed by
     # subtraction loses the digits proper_time_spectrum checks
@@ -376,10 +393,37 @@ def sample_rows_over_bound(tmp_path):
     return "propagate", write(tmp_path, body), "sample rows"
 
 
+def zero_c(tmp_path):
+    body = VERIFY + "\n[constants]\nc = 0\n"
+    return "verify", write(tmp_path, body), "[constants] hbar and c must be positive"
+
+
+def negative_mass(tmp_path):
+    body = SPREADING.replace("kind = schrodinger", "kind = dirac_1d").replace(
+        "mass = 1.0", "mass = -1")
+    return "propagate", write(tmp_path, body), "[particle] mass must be nonnegative"
+
+
+def negative_dt(tmp_path):
+    body = SPREADING.replace("dt = 0.002", "dt = -0.1")
+    return "propagate", write(tmp_path, body), "[propagator] time step must be positive"
+
+
+def massless_schrodinger(tmp_path):
+    body = SPREADING.replace("mass = 1.0", "mass = 0")
+    return "propagate", write(tmp_path, body), "[propagator] Schrodinger evolution requires mass"
+
+
+def empty_interval(tmp_path):
+    body = VERIFY.replace("x_max = 16.0", "x_max = -16.0")
+    return "verify", write(tmp_path, body), "[grid] degenerate interval"
+
+
 @pytest.mark.parametrize(
     "case",
     [underflowing_packet, panels_over_bound, nan_output_time, infinite_dt, nan_momentum,
-     grid_over_bound, sample_rows_over_bound],
+     grid_over_bound, sample_rows_over_bound, zero_c, negative_mass, negative_dt,
+     massless_schrodinger, empty_interval],
 )
 def test_cli_exit_two_with_one_line_on_bad_input(tmp_path, capsys, case):
     command, path, message = case(tmp_path)

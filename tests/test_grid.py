@@ -5,6 +5,8 @@ a packet of position std sigma maps to a momentum Gaussian of std
 hbar/(2 sigma), with the translation phase exp(-i p x0 / hbar).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,12 +50,6 @@ def test_momenta_sum_is_unpaired_mode():
     assert np.isclose(np.sum(g.momenta), np.min(g.momenta), rtol=1e-12)
 
 
-def test_momentum_order_is_monotone():
-    g = make_grid(16, 0.0, 4.0)
-    sorted_p = g.momenta[g.momentum_order]
-    assert np.all(np.diff(sorted_p) > 0)
-
-
 @pytest.mark.parametrize("n", [7, 12, 100])
 def test_non_power_of_two_rejected(n):
     with pytest.raises(ValueError):
@@ -93,6 +89,34 @@ def test_gaussian_transform_matches_analytic_fourier(hbar, p0):
         * np.exp(-1j * p * x0 / hbar)
     )
     assert np.max(np.abs(phi.amplitudes - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.37])
+def test_gaussian_packet_is_bitwise_the_closed_form(hbar):
+    g = make_grid(1024, -16.0, 16.0, PhysicalConstants(hbar=hbar))
+    x0, sigma, p0 = 1.3, 0.9, -2.7
+    x = g.positions
+    raw = (2.0 * np.pi * sigma**2) ** (-0.25) * np.exp(
+        -((x - x0) ** 2) / (4.0 * sigma**2) + 1j * p0 * (x - x0) / hbar
+    )
+    expected = raw / np.sqrt(np.sum(np.abs(raw) ** 2) * g.dx)
+    assert gaussian_packet(g, x0, sigma, p0, normalize=False).amplitudes.tobytes() == raw.tobytes()
+    assert gaussian_packet(g, x0, sigma, p0).amplitudes.tobytes() == expected.tobytes()
+
+
+def test_gaussian_packet_peak_memory():
+    # the returned packet is one complex array of 16n bytes; building it may
+    # hold at most one more (the buffer the WaveFunction copies) and change
+    n = 2**16
+    g = make_grid(n, -64.0, 64.0)
+    g.positions  # cached on the grid, not part of the packet's cost
+    tracemalloc.start()
+    try:
+        gaussian_packet(g, 3.0, 2.0, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 16 * n
 
 
 def test_constant_maps_to_zero_momentum_spike():

@@ -57,14 +57,6 @@ def test_particle_spec_rest_energy():
         ParticleSpec(-1.0)
 
 
-def test_diagonal_operator_flags():
-    g = make_grid(8, 0.0, 8.0)
-    real_op = DiagonalOperator(Representation.MOMENTUM, g.momenta)
-    assert real_op.hermitian and not real_op.unitary
-    phase_op = DiagonalOperator(Representation.MOMENTUM, np.exp(1j * g.momenta))
-    assert phase_op.unitary and not phase_op.hermitian
-
-
 def test_momentum_op_plane_wave_eigenvalue():
     g = make_grid(64, -8.0, 8.0)
     k = 5
@@ -187,7 +179,6 @@ def test_operator_constructors_are_hermitian():
         velocity_squared_op(g, m),
         proper_time_op(g, m, 2.0),
     ):
-        assert op.hermitian
         assert np.max(np.abs(op.values.imag)) <= 1e-14
 
 

@@ -1,5 +1,6 @@
 """Scenario parsing and fail-fast validation."""
 
+import json
 import textwrap
 
 import pytest
@@ -112,7 +113,7 @@ def test_massless_relativistic_propagate_allowed(tmp_path):
         "kind = schrodinger", "kind = relativistic_sqrt"
     )
     scenario = parse_scenario(write(tmp_path, body))
-    assert scenario.params.mass == 0.0
+    assert scenario.params.spec.particle.mass == 0.0
 
 
 FRAME = """
@@ -167,3 +168,28 @@ def test_frame_empty_times_rejected(tmp_path):
     body = FRAME.replace("times = 0.5 1.0", "times =")
     with pytest.raises(ScenarioError, match="times"):
         parse_scenario(write(tmp_path, body))
+
+
+def test_echo_lists_defaults_in_reading_order(tmp_path):
+    (tmp_path / "coast.traj").write_text("0.0 0.5\n2.0 0.5\n")
+    units = {"hbar": 1.0, "c": 1.0}
+    grid = {"n": 512, "x_min": -32.0, "x_max": 32.0}
+    cases = [
+        (MINIMAL_VERIFY, {"name": "minimal", "kind": "verify", "constants": units,
+                          "grid": grid, "mass": 1.0, "reference_time": 2.0}),
+        ("[scenario]\nname = bare\nkind = propagate\n"
+         "[propagator]\nkind = dirac_1d\ndt = 0.01\nsteps = 10\n",
+         {"name": "bare", "kind": "propagate", "constants": units, "grid": grid,
+          "mass": 1.0,
+          "propagator": {"kind": "dirac_1d", "dt": 0.01, "steps": 10, "sample_every": 1},
+          "initial": {"center": 0.0, "sigma": 1.0, "momentum": 0.0}}),
+        ("[scenario]\nname = bare\nkind = frame\n"
+         "[trajectory]\npath = coast.traj\ntimes = 0.5 1.0\n",
+         {"name": "bare", "kind": "frame", "constants": units, "mass": 1.0,
+          "trajectory": {"path": "coast.traj", "interpolation": "cubic_hermite",
+                         "quadrature": "simpson", "panels": 256, "times": [0.5, 1.0]}}),
+    ]
+    for body, expected in cases:
+        echo = parse_scenario(write(tmp_path, body)).echo
+        # the JSON text compares key order, which dict equality ignores
+        assert json.dumps(echo) == json.dumps(expected)
