@@ -2,8 +2,11 @@
 
 All Hamiltonians here are momentum-diagonal, so exp(-i H t / hbar) is a
 unimodular multiplier per momentum node and there is no splitting error:
-`evolve` takes a state to any time t in one multiplication, and each step
-function is `evolve` with t = dt. Three dynamical limits:
+`evolve` takes a state to a vector of times, one multiplication per time,
+and each step function is `evolve` at t = dt. The energies are even on the
+FFT-ordered grid (E(p_{n-j}) == E(p_j)), so every factor of t is computed
+on the n/2 + 1 distinct nodes and mirrored to the rest. Three dynamical
+limits:
 
   Schrodinger        E(p) = p^2 / 2m                   (mass > 0)
   RelativisticSqrt   E(p) = sqrt(m^2 c^4 + p^2 c^2)    (positive branch)
@@ -63,24 +66,47 @@ def spectrum(grid, spec):
     return energies, (spec.particle.rest_energy / safe, grid.constants.c * grid.momenta / safe)
 
 
-def evolve(phi, t, hbar, energies, mixing):
-    """exp(-i H t / hbar) on momentum amplitudes of shape (components, n), as a new array."""
-    if not mixing:
-        return _phase(energies, t, hbar) * phi
+def _mirror(half_rows, out):
+    """Write rows of an even function of p, given on nodes 0..n/2 of the FFT-ordered
+    grid, to all n nodes of `out` (node n - j takes node j's value); return `out`."""
+    half = half_rows.shape[-1]
+    out[..., :half] = half_rows
+    out[..., half:] = half_rows[..., half - 2:0:-1]
+    return out
+
+
+def evolve(phi, times, hbar, energies, mixing):
+    """exp(-i H t / hbar) on momentum amplitudes of shape (components, n), for each t
+    in `times`: a new C-ordered array of shape (len(times), components, n)."""
+    t = np.asarray(times, dtype=float)[:, None]
+    out = np.empty((len(t), *phi.shape), dtype=complex)
+    # E(p) is even on the FFT-ordered grid (E[n - j] == E[j]), so each factor of t
+    # is computed on nodes 0..n/2 only; an overflowing E t / hbar gives a NaN
+    # sample, which fails the run's checks
+    energies = energies[:energies.size // 2 + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not mixing:
+            _mirror(_phase(energies, t, hbar)[:, None], out)
+            out *= phi
+            return out
+        theta = energies * t / hbar
+        cos_t = _mirror(np.cos(theta), np.empty(out[:, 0].shape))
+        sin_t = _mirror(np.sin(theta, out=theta), np.empty(out[:, 0].shape))
+    del theta
     a, b = mixing  # H/E = [[a, b], [b, -a]]
-    theta = energies * t / hbar
-    cos_t, sin_t = np.cos(theta), np.sin(theta, out=theta)
     upper, lower = phi
-    out = np.empty_like(phi)
-    # in place, row by row: at most one n-length temporary at a time
-    np.multiply(a, upper, out=out[0])
-    out[0] += b * lower
-    np.multiply(b, upper, out=out[1])
-    out[1] -= a * lower
-    out *= sin_t
+    # H/E phi into the first sample, in place row by row: at most one n-length
+    # temporary at a time; every sample's sin(theta) H/E phi is made from it
+    first = out[0]
+    np.multiply(a, upper, out=first[0])
+    first[0] += b * lower
+    np.multiply(b, upper, out=first[1])
+    first[1] -= a * lower
+    np.multiply(first, sin_t[1:, None], out=out[1:])
+    first *= sin_t[0]
     out *= -1j
-    for row, component in zip(out, phi):
-        row += cos_t * component
+    for j, component in enumerate(phi):
+        out[:, j] += cos_t * component
     return out
 
 
@@ -102,7 +128,7 @@ def _step(state, spec, kind):
         raise ValueError(f"spec is {spec.kind.value}, not {kind.value}")
     grid = state.grid
     rows = np.stack(to_momentum(state).components)
-    rows = evolve(rows, spec.dt, grid.constants.hbar, *spectrum(grid, spec))
+    rows = evolve(rows, [spec.dt], grid.constants.hbar, *spectrum(grid, spec))[0]
     out = type(state)(grid, *rows, Representation.MOMENTUM)
     return to_position(out) if state.representation is Representation.POSITION else out
 

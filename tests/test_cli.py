@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from propertime.cli import main
 from propertime.report import emit
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 VERIFY = """
 [scenario]
@@ -145,6 +147,39 @@ def test_propagate_rows_depend_only_on_sample_times(tmp_path, kind):
     assert rows_fine == rows_coarse
 
 
+@pytest.mark.parametrize("kind", ["schrodinger", "relativistic_sqrt", "dirac_1d"])
+def test_propagate_rows_do_not_depend_on_their_chunk(tmp_path, kind):
+    # 1,025 rows sampled every step, many to a chunk, against the 9 rows at t = 0.25 k
+    base = SPREADING.replace("kind = schrodinger", f"kind = {kind}") + "momentum = 1.0\n"
+    every_step = base.replace("dt = 0.002", "dt = 0.001953125").replace(
+        "steps = 1000", "steps = 1024").replace("sample_every = 100", "sample_every = 1")
+    coarse = base.replace("dt = 0.002", "dt = 0.25").replace(
+        "steps = 1000", "steps = 8").replace("sample_every = 100", "sample_every = 1")
+    rows_every_step = run(parse_scenario(write(tmp_path, every_step, "every.cfg"))).samples
+    rows_coarse = run(parse_scenario(write(tmp_path, coarse, "coarse.cfg"))).samples
+    assert len(rows_every_step) == 1025
+    assert rows_every_step[::128] == rows_coarse
+
+
+@pytest.mark.parametrize("kind, arrays", [("schrodinger", 4.1), ("dirac_1d", 7.7)])
+def test_propagate_sampling_peak_memory(tmp_path, kind, arrays):
+    # n = 2^16 and 5 samples: sampling may hold no more than setting up phi_0 and
+    # the spectrum does, in n-length complex arrays (16n bytes)
+    n = 2**16
+    body = SPREADING.replace("n = 512", f"n = {n}").replace(
+        "kind = schrodinger", f"kind = {kind}").replace("steps = 1000", "steps = 400")
+    scenario = parse_scenario(write(tmp_path, body))
+    grid = scenario.params.grid
+    grid.positions, grid.momenta, grid.origin_phase  # cached per grid, not part of a run
+    tracemalloc.start()
+    try:
+        assert len(run(scenario).samples) == 5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 16 * n
+
+
 def test_non_finite_sample_fails_norm_check(tmp_path):
     # t E(p) / hbar overflows at t = 1e308, so the sampled state is NaN
     body = SPREADING.replace("dt = 0.002", "dt = 1e308").replace(
@@ -171,6 +206,20 @@ def test_non_finite_values_are_strict_json_null(tmp_path):
     for check in doc["checks"]:
         assert check["value"] is None and check["passed"] is False
     assert doc["samples"]["rows"][1][1:] == [None, None, None, None]
+
+
+@pytest.mark.parametrize("kind", ["schrodinger", "relativistic_sqrt", "dirac_1d"])
+def test_overflowing_phase_prints_no_runtime_warning(tmp_path, kind):
+    body = SPREADING.replace("kind = schrodinger", f"kind = {kind}").replace(
+        "dt = 0.002", "dt = 1e308").replace("steps = 1000", "steps = 1").replace(
+        "sample_every = 100", "sample_every = 1")
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    command = [sys.executable, "-m", "propertime.cli", "propagate", write(tmp_path, body),
+               "--out", str(tmp_path / "nan.json")]
+    done = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "Warning" not in done.stderr
 
 
 def test_verify_passes_on_wide_momentum_grid(tmp_path):
@@ -323,9 +372,6 @@ def test_cli_summary_goes_to_stderr(tmp_path, capsys):
     assert "PASS" in captured.err
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-
 def test_import_cli_loads_no_scipy():
     probe = "import sys, propertime.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
     paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
@@ -355,6 +401,12 @@ def underflowing_packet(tmp_path):
     # parses, then the packet underflows to zero on the default grid inside run()
     body = SPREADING.replace("x_min = -20.0\nx_max = 20.0\n", "") + "center = 1000\n"
     return "propagate", write(tmp_path, body), "underflows"
+
+
+def tiny_sigma(tmp_path):
+    # parses (sigma > 0), then sigma**2 underflows to zero inside run()
+    body = SPREADING.replace("sigma = 1.0", "sigma = 1e-200")
+    return "propagate", write(tmp_path, body), "sigma**2"
 
 
 def panels_over_bound(tmp_path):
@@ -423,7 +475,7 @@ def empty_interval(tmp_path):
     "case",
     [underflowing_packet, panels_over_bound, nan_output_time, infinite_dt, nan_momentum,
      grid_over_bound, sample_rows_over_bound, zero_c, negative_mass, negative_dt,
-     massless_schrodinger, empty_interval],
+     massless_schrodinger, empty_interval, tiny_sigma],
 )
 def test_cli_exit_two_with_one_line_on_bad_input(tmp_path, capsys, case):
     command, path, message = case(tmp_path)

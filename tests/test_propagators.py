@@ -32,6 +32,7 @@ from propertime import (
     to_momentum,
     to_position,
 )
+from propertime.propagators import spectrum
 
 NAT = PhysicalConstants()
 
@@ -297,3 +298,19 @@ def test_steps_preserve_input_representation():
     pos = gaussian_packet(g, 0.0, 1.0, 0.5)
     assert step_schrodinger(pos, spec).representation is Representation.POSITION
     assert step_schrodinger(to_momentum(pos), spec).representation is Representation.MOMENTUM
+
+
+@pytest.mark.parametrize("hbar, c", [(1.0, 1.0), (0.7, 3.0), (2.5, 0.3)])
+@pytest.mark.parametrize(
+    "kind, mass",
+    [(kind, 1.3) for kind in PropagatorKind]
+    + [(PropagatorKind.RELATIVISTIC_SQRT, 0.0), (PropagatorKind.DIRAC_1D, 0.0)],
+)
+def test_spectrum_is_bitwise_even(hbar, c, kind, mass):
+    # evolve computes each factor of t on nodes 0..n/2 and mirrors it to the rest,
+    # which holds only if E[n - j] == E[j] exactly on the FFT-ordered grid
+    constants = PhysicalConstants(hbar, c)
+    spec = PropagatorSpec(kind, ParticleSpec(mass, constants), 0.1)
+    for n in (2**k for k in range(3, 17)):
+        energies, _ = spectrum(make_grid(n, -7.5, 20.0, constants), spec)
+        assert energies[1:].tobytes() == energies[:0:-1].tobytes()
