@@ -14,6 +14,9 @@ semiclassically into a temporal and a spatial part,
 with E(t') = E_s / sqrt(1 - v^2/c^2) and p = E v / c^2; the spatial
 integral is evaluated in the time parameterization (dx' = v dt'), which
 stays valid for turning trajectories where x(t') is not monotone.
+
+One pass along the worldline per output time yields all four integrals, so
+`proper_time_of`, `action_phase` and `semiclassical_phase` agree to the bit.
 """
 
 from dataclasses import dataclass
@@ -76,6 +79,8 @@ class Trajectory:
         v = np.array(self.velocities, dtype=float, copy=True)
         if t.ndim != 1 or t.shape != v.shape or t.size < 2:
             raise ValueError("need matching 1-d time and velocity samples (>= 2)")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("sample times and velocities must be finite")
         if t[0] != 0.0:
             raise ValueError(f"first sample must be at t = 0, got {t[0]}")
         if np.any(np.diff(t) <= 0.0):
@@ -145,11 +150,6 @@ def check_quadrature(quadrature, n_panels):
         raise ValueError("Simpson rule needs an even panel count")
 
 
-def _quadrature_nodes(t, quadrature, n_panels):
-    check_quadrature(quadrature, n_panels)
-    return np.linspace(0.0, t, n_panels + 1)
-
-
 def _integrate(values, h, quadrature):
     if quadrature == "trapezoid":
         return h * (0.5 * (values[0] + values[-1]) + np.sum(values[1:-1]))
@@ -164,20 +164,42 @@ def velocity_of_time(traj, t):
     return np.sqrt(1.0 - (v / traj.constants.c) ** 2)
 
 
+def _worldline(traj, rest, times, quadrature, n_panels):
+    """Rows (t_s, action, energy_phase, spatial_phase) at each of `times`: one set of
+    nodes and one v per time, four integrals on them. One time at a time, so memory
+    is one node array however many times are asked for."""
+    check_quadrature(quadrature, n_panels)
+    c = traj.constants.c
+    rows = np.empty((4, len(times)))
+    for i, t in enumerate(times):
+        v = traj.velocity(np.linspace(0.0, t, n_panels + 1))
+        root = np.sqrt(1.0 - (v / c) ** 2)
+        energy = rest / root
+        h = t / n_panels
+        for row, integrand in enumerate((root, -rest * root, energy, energy * (v / c) ** 2)):
+            rows[row, i] = _integrate(integrand, h, quadrature)
+    return rows
+
+
+def _rest_energy(traj, particle):
+    """E_s of a particle whose phases accumulate along `traj`."""
+    if particle.mass <= 0.0:
+        raise ValueError("phases along a trajectory require mass > 0")
+    if traj.constants != particle.constants:
+        raise ValueError("trajectory and particle carry different physical constants")
+    return particle.rest_energy
+
+
 def proper_time_of(traj, t, quadrature="simpson", n_panels=256):
     """t_s(t) by composite quadrature of sqrt(1 - v^2/c^2) over [0, t]."""
-    nodes = _quadrature_nodes(t, quadrature, n_panels)
-    integrand = velocity_of_time(traj, nodes)
-    return float(_integrate(integrand, t / n_panels, quadrature))
+    # the proper-time row does not depend on the rest energy
+    return float(_worldline(traj, 0.0, [t], quadrature, n_panels)[0, 0])
 
 
 def action_phase(traj, particle, t, quadrature="simpson", n_panels=256):
     """int_0^t L dt' with L = -E_s sqrt(1 - v^2/c^2); equals -E_s * t_s."""
-    if particle.mass <= 0.0:
-        raise ValueError("action phase requires mass > 0")
-    nodes = _quadrature_nodes(t, quadrature, n_panels)
-    lagrangian = -particle.rest_energy * velocity_of_time(traj, nodes)
-    return float(_integrate(lagrangian, t / n_panels, quadrature))
+    rest = _rest_energy(traj, particle)
+    return float(_worldline(traj, rest, [t], quadrature, n_panels)[1, 0])
 
 
 @dataclass(frozen=True)
@@ -199,27 +221,9 @@ def semiclassical_phase(traj, particle, times, quadrature="simpson", n_panels=25
     is recorded per time; the integrands agree pointwise, so it only
     carries quadrature-node rounding.
     """
-    if particle.mass <= 0.0:
-        raise ValueError("semiclassical phase requires mass > 0")
-    if traj.constants != particle.constants:
-        raise ValueError("trajectory and particle carry different physical constants")
+    rest = _rest_energy(traj, particle)
     t_grid = np.array(times, dtype=float, copy=True, ndmin=1)
-    rest = particle.rest_energy
-    c = traj.constants.c
-    t_s = np.empty(t_grid.size)
-    act = np.empty(t_grid.size)
-    e_phase = np.empty(t_grid.size)
-    x_phase = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        nodes = _quadrature_nodes(t, quadrature, n_panels)
-        v = traj.velocity(nodes)
-        root = np.sqrt(1.0 - (v / c) ** 2)
-        energy = rest / root
-        h = t / n_panels
-        t_s[i] = _integrate(root, h, quadrature)
-        act[i] = _integrate(-rest * root, h, quadrature)
-        e_phase[i] = _integrate(energy, h, quadrature)
-        x_phase[i] = _integrate(energy * (v / c) ** 2, h, quadrature)
+    t_s, act, e_phase, x_phase = _worldline(traj, rest, t_grid, quadrature, n_panels)
     residual = np.abs(-rest * t_s - (-e_phase + x_phase))
     for arr in (t_grid, t_s, act, e_phase, x_phase, residual):
         arr.setflags(write=False)

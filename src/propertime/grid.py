@@ -48,6 +48,10 @@ class SpatialGrid:
             raise ValueError(
                 f"degenerate interval: x_min={self.x_min} x_max={self.x_max}"
             )
+        if not (0.0 < self.dx < np.inf and 0.0 < self.dp < np.inf):
+            raise ValueError(
+                f"grid spacings must be finite and positive, got dx={self.dx} dp={self.dp}"
+            )
 
     @property
     def length(self):

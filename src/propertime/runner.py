@@ -248,20 +248,15 @@ def run_frame(scenario):
     result = semiclassical_phase(
         traj, particle, times, quadrature=params.quadrature, n_panels=params.panels
     )
-    rates = velocity_of_time(traj, times)
-
-    samples = [
-        [
-            float(result.t_grid[i]),
-            float(result.proper_time[i]),
-            float(rates[i]),
-            float(result.action[i]),
-            float(result.energy_phase[i]),
-            float(result.spatial_phase[i]),
-            float(result.factorization_residual[i]),
-        ]
-        for i in range(times.size)
-    ]
+    samples = np.column_stack([
+        result.t_grid,
+        result.proper_time,
+        velocity_of_time(traj, times),
+        result.action,
+        result.energy_phase,
+        result.spatial_phase,
+        result.factorization_residual,
+    ]).tolist()
 
     rest = particle.rest_energy
     t_max = float(times.max())

@@ -471,11 +471,42 @@ def empty_interval(tmp_path):
     return "verify", write(tmp_path, body), "[grid] degenerate interval"
 
 
+def _frame_with_sample(tmp_path, index, row):
+    path = write_frame(tmp_path)
+    traj = tmp_path / "wiggle.traj"
+    rows = traj.read_text().splitlines()
+    rows[index] = row
+    traj.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def nan_trajectory_time(tmp_path):
+    # an interior row: nan passes the t[0] == 0 and increasing-time comparisons
+    return "frame", _frame_with_sample(tmp_path, 100, "nan 0.1"), "[trajectory]"
+
+
+def nan_trajectory_velocity(tmp_path):
+    return "frame", _frame_with_sample(tmp_path, 100, "0.390625 nan"), "[trajectory]"
+
+
+def box_length_overflows(tmp_path):
+    # x_max - x_min = inf, so dx = inf and dp = 0
+    body = SPREADING.replace("x_min = -20.0\nx_max = 20.0", "x_min = -1e308\nx_max = 1e308")
+    return "propagate", write(tmp_path, body), "[grid]"
+
+
+def momentum_spacing_overflows(tmp_path):
+    # dp = 2 pi hbar / L = inf
+    body = SPREADING + "\n[constants]\nhbar = 1e308\n"
+    return "propagate", write(tmp_path, body), "[grid]"
+
+
 @pytest.mark.parametrize(
     "case",
     [underflowing_packet, panels_over_bound, nan_output_time, infinite_dt, nan_momentum,
      grid_over_bound, sample_rows_over_bound, zero_c, negative_mass, negative_dt,
-     massless_schrodinger, empty_interval, tiny_sigma],
+     massless_schrodinger, empty_interval, tiny_sigma, nan_trajectory_time,
+     nan_trajectory_velocity, box_length_overflows, momentum_spacing_overflows],
 )
 def test_cli_exit_two_with_one_line_on_bad_input(tmp_path, capsys, case):
     command, path, message = case(tmp_path)

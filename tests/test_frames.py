@@ -9,6 +9,7 @@ at the nodes.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from propertime import (
 )
 
 NAT = PhysicalConstants()
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def tanh_trajectory(interpolation="cubic_hermite", c=1.0, samples=4097):
@@ -195,6 +197,9 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.0, 0.0]))  # not increasing
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 1.0]), np.array([0.0, 0.5]), "quintic")
+    for t, v in (([0.0, np.nan, 1.0], [0.0, 0.1, 0.2]), ([0.0, 0.5, 1.0], [0.0, np.nan, 0.2])):
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(np.array(t), np.array(v))
     # strictly subluminal samples are fine
     Trajectory(np.array([0.0, 1.0]), np.array([0.0, 0.999999]))
 
@@ -219,6 +224,27 @@ def test_massless_particle_rejected_for_phases():
         action_phase(traj, ParticleSpec(0.0), 1.0)
     with pytest.raises(ValueError):
         semiclassical_phase(traj, ParticleSpec(0.0), [1.0])
+
+
+def test_mixed_constants_rejected_for_phases():
+    traj = constant_trajectory(0.5)  # c = 1
+    particle = ParticleSpec(1.0, PhysicalConstants(c=3.0))
+    with pytest.raises(ValueError, match="different physical constants"):
+        action_phase(traj, particle, 1.0)
+    with pytest.raises(ValueError, match="different physical constants"):
+        semiclassical_phase(traj, particle, [1.0])
+
+
+@pytest.mark.parametrize("interpolation", ["linear", "cubic_hermite"])
+@pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
+def test_entry_points_read_one_worldline_pass(interpolation, quadrature):
+    traj = load_trajectory(SCENARIOS / "tanh.traj", interpolation)
+    particle = ParticleSpec(1.3)
+    times = [0.1, 0.25, 0.5, 0.75, 1.0]
+    result = semiclassical_phase(traj, particle, times, quadrature, 64)
+    for i, t in enumerate(times):
+        assert proper_time_of(traj, t, quadrature, 64) == result.proper_time[i]
+        assert action_phase(traj, particle, t, quadrature, 64) == result.action[i]
 
 
 def test_trajectory_file_round_trip(tmp_path):
