@@ -24,11 +24,8 @@ from .operators import (
     DiagonalOperator,
     Dispersion,
     ParticleSpec,
-    apply,
     commutator_xp_expectation,
     expectation,
-    momentum_op,
-    position_op,
     proper_time_op,
     total_energy_op,
     velocity_squared_op,

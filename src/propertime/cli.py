@@ -4,7 +4,8 @@
     propertime propagate <scenario> ...
     propertime frame     <scenario> ...
 
-Exit status: 0 all checks passed, 1 a check failed, 2 usage or scenario error.
+Exit status: 0 all checks passed, 1 a check failed, 2 usage or scenario error
+or a report that cannot be written.
 The report goes to --out (or stdout); the human-readable check summary and
 timing go to stderr so stdout stays machine-parseable.
 """
@@ -63,10 +64,14 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    if args.out:
-        emit(report, args.format, args.out)
-    else:
-        sys.stdout.write(to_json(report) if args.format == "json" else to_csv(report))
+    try:
+        if args.out:
+            emit(report, args.format, args.out)
+        else:
+            sys.stdout.write(to_json(report) if args.format == "json" else to_csv(report))
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
     if not args.quiet:
         for chk in report.sorted_checks():

@@ -133,7 +133,6 @@ class KernelMatrix:
     axis: ProperTimeAxis
     energies: np.ndarray
     entries: np.ndarray
-    prefactor: complex
 
 
 def build_kernel_matrix(axis, energies, kernel):
@@ -143,7 +142,7 @@ def build_kernel_matrix(axis, energies, kernel):
     entries = kernel(axis.nodes[:, None], -energies[None, :])
     energies.setflags(write=False)
     entries.setflags(write=False)
-    return KernelMatrix(axis, energies, entries, complex(kernel(0.0, 0.0)))
+    return KernelMatrix(axis, energies, entries)
 
 
 def modulus_ratio(matrix):

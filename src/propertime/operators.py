@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .constants import NATURAL_UNITS, PhysicalConstants
-from .grid import Representation, WaveFunction, inner, to_momentum, to_position, boundary_amplitude
+from .grid import Representation, _fourier, boundary_amplitude, to_momentum, to_position
 
 EDGE_DECAY_THRESHOLD = 1e-10
 
@@ -61,16 +61,6 @@ class DiagonalOperator:
 def _require_same_constants(grid, particle):
     if grid.constants != particle.constants:
         raise ValueError("grid and particle carry different physical constants")
-
-
-def position_op(grid):
-    """Multiplication by the grid coordinate (a sawtooth across the wrap)."""
-    return DiagonalOperator(Representation.POSITION, grid.positions)
-
-
-def momentum_op(grid):
-    """Momentum operator: diagonal p_k in the momentum representation."""
-    return DiagonalOperator(Representation.MOMENTUM, grid.momenta)
 
 
 def total_energy_op(grid, particle, dispersion=Dispersion.RELATIVISTIC):
@@ -116,41 +106,33 @@ def proper_time_op(grid, particle, t):
     return DiagonalOperator(Representation.MOMENTUM, values)
 
 
-def apply(op, psi):
-    """Pointwise multiplication; psi must already be in the operator's basis."""
-    if psi.representation is not op.basis:
-        raise ValueError(
-            f"operator is diagonal in {op.basis.value}, state is in "
-            f"{psi.representation.value}"
-        )
-    return WaveFunction(psi.grid, op.values * psi.amplitudes, psi.representation)
-
-
 def expectation(op, psi):
     """<psi|A|psi> with the transform handled if the basis differs."""
     if psi.representation is not op.basis:
         psi = to_momentum(psi) if op.basis is Representation.MOMENTUM else to_position(psi)
-    return inner(psi, apply(op, psi))
+    return complex(np.sum(np.conj(psi.amplitudes) * (op.values * psi.amplitudes)) * psi.weight)
 
 
-def commutator_xp_expectation(psi, edge_threshold=EDGE_DECAY_THRESHOLD):
+def commutator_xp_expectation(psi):
     """<psi|[x,p]|psi>, which equals i*hbar*<psi|psi> for edge-decayed states.
 
     The coordinate operator is discontinuous at the periodic wrap, so the
     identity fails for states with weight there; such states are rejected
     rather than silently producing a wrong value.
     """
-    edge = boundary_amplitude(psi)
-    if edge >= edge_threshold:
+    pos = to_position(psi)
+    edge = boundary_amplitude(pos)
+    if edge >= EDGE_DECAY_THRESHOLD:
         raise ValueError(
             f"state is not edge-decayed: boundary amplitude {edge:.3e} >= "
-            f"{edge_threshold:.1e}; the commutator identity does not hold at "
+            f"{EDGE_DECAY_THRESHOLD:.1e}; the commutator identity does not hold at "
             "the periodic wrap"
         )
-    x_op = position_op(psi.grid)
-    p_op = momentum_op(psi.grid)
-    pos = to_position(psi)
-    p_psi = to_position(apply(p_op, to_momentum(pos)))
-    xp = apply(x_op, p_psi)
-    px = to_position(apply(p_op, to_momentum(apply(x_op, pos))))
-    return inner(pos, WaveFunction(pos.grid, xp.amplitudes - px.amplitudes, Representation.POSITION))
+    grid = pos.grid
+    x = grid.positions
+    # rows [psi, x psi] -> [p psi, p x psi], both in position
+    rows = np.stack([pos.amplitudes, x * pos.amplitudes])
+    _fourier(grid, rows, Representation.MOMENTUM)
+    rows *= grid.momenta
+    p_psi, p_x_psi = _fourier(grid, rows, Representation.POSITION)
+    return complex(np.sum(np.conj(pos.amplitudes) * (x * p_psi - p_x_psi)) * grid.dx)

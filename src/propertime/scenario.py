@@ -7,7 +7,8 @@ Three scenario kinds share a [scenario] and a [constants] section:
   frame      [particle] [trajectory]           proper-time / phase series
 
 Parsing is fail-fast: every referenced file must exist and parse, every
-number must be in range, before run() touches any physics. The constants,
+number must be in range and every key and section must be one the kind
+reads, before run() touches any physics. The constants,
 grid, particle, propagator and trajectory are built here by their own types,
 which own their rules; a rule they reject is reported against its section.
 Every value read, defaults included, is recorded in reading order as the
@@ -35,12 +36,6 @@ KINDS = ("verify", "propagate", "frame")
 
 # bounds the rows a propagate report holds (5 floats each, in memory and on disk)
 MAX_SAMPLES = 2**20
-
-PROPAGATOR_NAMES = {
-    "schrodinger": PropagatorKind.SCHRODINGER,
-    "relativistic_sqrt": PropagatorKind.RELATIVISTIC_SQRT,
-    "dirac_1d": PropagatorKind.DIRAC_1D,
-}
 
 # sections whose keys the echo lists at its top level; the others nest under their name
 FLAT_SECTIONS = ("scenario", "particle", "verify")
@@ -99,17 +94,20 @@ def _finite_float(text):
 class _Section:
     """Typed access to one config section with key-level diagnostics.
 
-    Each value returned, defaults included, is recorded in `echo`.
+    Each value returned, defaults included, is recorded in `echo`, and each
+    (section, key) asked for in `read`.
     """
 
-    def __init__(self, parser, name, path, echo):
+    def __init__(self, parser, name, path, echo, read):
         self.name = name
         self.path = path
         self.data = dict(parser[name]) if parser.has_section(name) else {}
         self.present = parser.has_section(name)
         self.echo = echo
+        self.read = read
 
     def _fetch(self, key, cast, default):
+        self.read.add((self.name, key))
         if key in self.data:
             try:
                 value = cast(self.data[key])
@@ -175,11 +173,14 @@ def parse_scenario(path):
             parser.read_file(fh, source=path)
     except configparser.Error as exc:
         raise ScenarioError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: {exc.strerror}") from None
 
     echo = {}
+    read = set()
 
     def section(name):
-        return _Section(parser, name, path, echo)
+        return _Section(parser, name, path, echo, read)
 
     scenario = section("scenario")
     if not scenario.present:
@@ -209,13 +210,15 @@ def parse_scenario(path):
         if not prop.present:
             raise ScenarioError(f"{path}: propagate scenario needs a [propagator] section")
         kind_name = prop.get_str("kind")
-        if kind_name not in PROPAGATOR_NAMES:
+        try:
+            propagator = PropagatorKind(kind_name)
+        except ValueError:
             raise ScenarioError(
                 f"{path}: [propagator] kind must be one of "
-                f"{tuple(PROPAGATOR_NAMES)}, got {kind_name!r}"
-            )
+                f"{tuple(k.value for k in PropagatorKind)}, got {kind_name!r}"
+            ) from None
         dt = prop.get_float("dt")
-        spec = prop.build(PropagatorSpec, PROPAGATOR_NAMES[kind_name], particle, dt)
+        spec = prop.build(PropagatorSpec, propagator, particle, dt)
         steps = _require_positive(path, "[propagator] steps", prop.get_int("steps"))
         sample_every = _require_positive(
             path, "[propagator] sample_every", prop.get_int("sample_every", 1)
@@ -248,11 +251,29 @@ def parse_scenario(path):
             raise ScenarioError(f"{path}: [trajectory] times must list at least one value")
         # fail fast: check the rule, parse the trajectory and bound the output times now
         traj.build(check_quadrature, quadrature, panels)
-        loaded = traj.build(load_trajectory, traj_path, interpolation, constants)
+        try:
+            loaded = traj.build(load_trajectory, traj_path, interpolation, constants)
+        except OSError as exc:
+            raise ScenarioError(
+                f"{path}: cannot read trajectory file {traj_path}: {exc.strerror}"
+            ) from None
         if any(t < 0 or t > loaded.horizon for t in times):
             raise ScenarioError(
                 f"{path}: [trajectory] times must lie within [0, {loaded.horizon}]"
             )
         params = FrameParams(particle, written_path, loaded, quadrature, panels, times)
+
+    # every section the kind asks for has a key read, present or not
+    sections_read = {section_name for section_name, _ in read}
+    for section_name in parser.sections():
+        if section_name not in sections_read:
+            raise ScenarioError(
+                f"{path}: unknown section [{section_name}] for a {kind} scenario"
+            )
+        for key in parser[section_name]:
+            if (section_name, key) not in read:
+                raise ScenarioError(
+                    f"{path}: unknown key [{section_name}] {key} for a {kind} scenario"
+                )
 
     return Scenario(name, kind, constants, seed, params, echo)

@@ -501,12 +501,51 @@ def momentum_spacing_overflows(tmp_path):
     return "propagate", write(tmp_path, body), "[grid]"
 
 
+def misspelt_initial_key(tmp_path):
+    body = SPREADING.replace("sigma = 1.0", "sgima = 0.25")
+    return "propagate", write(tmp_path, body), "unknown key [initial] sgima for a propagate"
+
+
+def misspelt_verify_key(tmp_path):
+    body = VERIFY + "\n[verify]\nrefrence_time = 5.0\n"
+    return "verify", write(tmp_path, body), "unknown key [verify] refrence_time for a verify"
+
+
+def section_of_another_kind(tmp_path):
+    path = write_frame(tmp_path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("[grid]\nn = 64\n")
+    return "frame", path, "unknown section [grid] for a frame scenario"
+
+
+def unknown_propagator(tmp_path):
+    body = SPREADING.replace("kind = schrodinger", "kind = klein_gordon")
+    message = ("[propagator] kind must be one of ('schrodinger', 'relativistic_sqrt', "
+               "'dirac_1d'), got 'klein_gordon'")
+    return "propagate", write(tmp_path, body), message
+
+
+def scenario_is_a_directory(tmp_path):
+    path = tmp_path / "folder.cfg"
+    path.mkdir()
+    return "verify", str(path), f"cannot read scenario file {path}"
+
+
+def trajectory_is_a_directory(tmp_path):
+    path = write_frame(tmp_path)
+    (tmp_path / "wiggle.traj").unlink()
+    (tmp_path / "wiggle.traj").mkdir()
+    return "frame", path, "cannot read trajectory file"
+
+
 @pytest.mark.parametrize(
     "case",
     [underflowing_packet, panels_over_bound, nan_output_time, infinite_dt, nan_momentum,
      grid_over_bound, sample_rows_over_bound, zero_c, negative_mass, negative_dt,
      massless_schrodinger, empty_interval, tiny_sigma, nan_trajectory_time,
-     nan_trajectory_velocity, box_length_overflows, momentum_spacing_overflows],
+     nan_trajectory_velocity, box_length_overflows, momentum_spacing_overflows,
+     misspelt_initial_key, misspelt_verify_key, section_of_another_kind, unknown_propagator,
+     scenario_is_a_directory, trajectory_is_a_directory],
 )
 def test_cli_exit_two_with_one_line_on_bad_input(tmp_path, capsys, case):
     command, path, message = case(tmp_path)
@@ -514,3 +553,12 @@ def test_cli_exit_two_with_one_line_on_bad_input(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_cli_exit_two_with_one_line_when_report_cannot_be_written(tmp_path, capsys):
+    path = write(tmp_path, VERIFY)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["verify", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err

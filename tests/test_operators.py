@@ -17,19 +17,18 @@ from propertime import (
     PhysicalConstants,
     Representation,
     WaveFunction,
-    apply,
     boundary_amplitude,
     commutator_xp_expectation,
     expectation,
     gaussian_packet,
     make_grid,
-    momentum_op,
-    position_op,
     proper_time_op,
     to_momentum,
+    to_position,
     total_energy_op,
     velocity_squared_op,
 )
+from propertime.runner import seeded_gaussians
 
 NAT = PhysicalConstants()
 
@@ -63,23 +62,21 @@ def test_momentum_op_plane_wave_eigenvalue():
     p_k = g.momenta[k]
     plane = np.exp(1j * p_k * g.positions) / np.sqrt(g.length)
     psi = WaveFunction(g, plane, Representation.POSITION)
-    phi = to_momentum(psi)
-    applied = apply(momentum_op(g), phi)
-    assert np.max(np.abs(applied.amplitudes - p_k * phi.amplitudes)) < 1e-12
-    assert np.isclose(expectation(momentum_op(g), psi), p_k, atol=1e-10)
+    p_op = DiagonalOperator(Representation.MOMENTUM, g.momenta)
+    assert np.isclose(expectation(p_op, psi), p_k, atol=1e-10)
 
 
 def test_momentum_expectation_symmetric_gaussian_is_zero():
     g = make_grid(256, -16.0, 16.0)
     psi = gaussian_packet(g, 0.0, 1.5, 0.0)
-    assert abs(expectation(momentum_op(g), psi)) < 1e-12
+    assert abs(expectation(DiagonalOperator(Representation.MOMENTUM, g.momenta), psi)) < 1e-12
 
 
 def test_momentum_expectation_boosted_gaussian():
     g = make_grid(256, -16.0, 16.0)
     p0 = 0.8
     psi = gaussian_packet(g, 0.0, 1.5, p0)
-    assert abs(expectation(momentum_op(g), psi) - p0) < 1e-10
+    assert abs(expectation(DiagonalOperator(Representation.MOMENTUM, g.momenta), psi) - p0) < 1e-10
 
 
 def test_total_energy_rest_value_and_photon():
@@ -172,8 +169,6 @@ def test_operator_constructors_are_hermitian():
     g = make_grid(64, -8.0, 8.0)
     m = ParticleSpec(1.0)
     for op in (
-        momentum_op(g),
-        position_op(g),
         total_energy_op(g, m, Dispersion.NONRELATIVISTIC),
         total_energy_op(g, m, Dispersion.RELATIVISTIC),
         velocity_squared_op(g, m),
@@ -196,30 +191,6 @@ def test_constants_mismatch_rejected():
         total_energy_op(g, ParticleSpec(1.0), Dispersion.RELATIVISTIC)
 
 
-def test_apply_identity_and_commuting_order():
-    g = make_grid(64, -8.0, 8.0)
-    rng = np.random.default_rng(2)
-    amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    phi = WaveFunction(g, amps, Representation.MOMENTUM)
-    ident = DiagonalOperator(Representation.MOMENTUM, np.ones(64))
-    assert np.array_equal(apply(ident, phi).amplitudes, phi.amplitudes)
-    op1 = momentum_op(g)
-    op2 = total_energy_op(g, ParticleSpec(1.0), Dispersion.RELATIVISTIC)
-    ab = apply(op1, apply(op2, phi)).amplitudes
-    ba = apply(op2, apply(op1, phi)).amplitudes
-    # reassociation costs at most an ulp per node
-    assert np.allclose(ab, ba, rtol=1e-15, atol=1e-15)
-    psi2 = WaveFunction(g, rng.standard_normal(64) + 1j * rng.standard_normal(64),
-                        Representation.MOMENTUM)
-    z = 1.3 - 0.2j
-    lin = apply(op2, WaveFunction(g, z * phi.amplitudes + psi2.amplitudes,
-                                  Representation.MOMENTUM))
-    split = z * apply(op2, phi).amplitudes + apply(op2, psi2).amplitudes
-    assert np.allclose(lin.amplitudes, split, rtol=1e-14, atol=1e-14)
-    with pytest.raises(ValueError):
-        apply(op1, WaveFunction(g, amps, Representation.POSITION))
-
-
 def test_hermitian_expectation_is_real():
     g = make_grid(128, -8.0, 8.0)
     psi = gaussian_packet(g, 0.3, 0.8, 1.1)
@@ -235,6 +206,40 @@ def test_commutator_matches_dense_oracle():
     assert abs(dense - fast) < 1e-12
     assert abs(dense - 1j) < 1e-8
     assert abs(fast - 1j) < 1e-8
+
+
+def test_commutator_matches_dense_oracle_off_centre_box():
+    # x_min != -L/2: the transform's origin phase is not 1 at any nonzero momentum
+    g = make_grid(64, -5.0, 11.0, PhysicalConstants(hbar=0.7))
+    psi = gaussian_packet(g, 3.0, g.length / 24.0, 0.5)
+    dense = dense_commutator_expectation(psi)
+    assert abs(dense - commutator_xp_expectation(psi)) < 1e-12
+    assert abs(dense - 0.7j) < 1e-8
+
+
+def operator_pipeline_commutator(psi):
+    """<psi|[x,p]|psi> with one transform pair per operand, multipliers g.momenta, g.positions."""
+    g = psi.grid
+    x = g.positions
+    pos = to_position(psi)
+
+    def p_of(amps):
+        phi = to_momentum(WaveFunction(g, amps, Representation.POSITION))
+        return to_position(
+            WaveFunction(g, g.momenta * phi.amplitudes, Representation.MOMENTUM)
+        ).amplitudes
+
+    diff = x * p_of(pos.amplitudes) - p_of(x * pos.amplitudes)
+    return complex(np.sum(np.conj(pos.amplitudes) * diff) * g.dx)
+
+
+@pytest.mark.parametrize(
+    "hbar, x_min, x_max", [(1.0, -32.0, 32.0), (0.7, -13.0, 27.0), (2.5, -16.0, 16.0)]
+)
+def test_commutator_is_bitwise_the_operator_pipeline(hbar, x_min, x_max):
+    g = make_grid(512, x_min, x_max, PhysicalConstants(hbar=hbar))
+    for psi in seeded_gaussians(g, np.random.default_rng(5)):
+        assert commutator_xp_expectation(psi) == operator_pipeline_commutator(psi)
 
 
 def test_commutator_gaussian_family():
