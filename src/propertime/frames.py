@@ -15,7 +15,9 @@ with E(t') = E_s / sqrt(1 - v^2/c^2) and p = E v / c^2; the spatial
 integral is evaluated in the time parameterization (dx' = v dt'), which
 stays valid for turning trajectories where x(t') is not monotone.
 
-One pass along the worldline per output time yields all four integrals, so
+One pass along the worldline yields all four integrals at every output time.
+It takes the times in blocks under a fixed byte budget (BLOCK_BYTES per node
+array), and a time's row does not depend on the block it falls in, so
 `proper_time_of`, `action_phase` and `semiclassical_phase` agree to the bit.
 """
 
@@ -29,6 +31,9 @@ INTERPOLATIONS = ("linear", "cubic_hermite")
 QUADRATURES = ("trapezoid", "simpson")
 # bounds the node arrays one quadrature allocates (8 MiB each)
 MAX_PANELS = 2**20
+# bytes of one node array of a block of output times: the nodes of several times,
+# or of one time where that is more
+BLOCK_BYTES = 2**18
 
 
 def _end_slope(h0, h1, m0, m1):
@@ -121,23 +126,35 @@ class Trajectory:
 
 def load_trajectory(path, interpolation="cubic_hermite", constants=NATURAL_UNITS):
     """Read `t v` pairs, one per line; blank lines and `#` comments ignored."""
-    times, velocities = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected `t v`, got {raw.rstrip()!r}")
-            try:
-                times.append(float(parts[0]))
-                velocities.append(float(parts[1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not times:
+        text = fh.read()
+    try:
+        # one parse of the whole table; a last `0 0` row keeps loadtxt from warning on a
+        # table without rows and makes it reject any row without exactly two fields
+        table = np.loadtxt((text + "\n0 0").split("\n"), ndmin=2)[:-1]
+    except ValueError:
+        # loadtxt refuses some tokens float() reads (`1_0`), and names no line
+        table = _read_rows(path, text)
+    if not table.size:
         raise ValueError(f"{path}: no samples")
-    return Trajectory(np.array(times), np.array(velocities), interpolation, constants)
+    return Trajectory(table[:, 0], table[:, 1], interpolation, constants)
+
+
+def _read_rows(path, text):
+    """The `(t, v)` rows of `text` as float() reads them; raises on the first bad line."""
+    rows = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected `t v`, got {raw.rstrip()!r}")
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return np.array(rows).reshape(-1, 2)
 
 
 def check_quadrature(quadrature, n_panels):
@@ -151,10 +168,14 @@ def check_quadrature(quadrature, n_panels):
 
 
 def _integrate(values, h, quadrature):
+    """The rule along the last axis of `values`, panel width `h`."""
     if quadrature == "trapezoid":
-        return h * (0.5 * (values[0] + values[-1]) + np.sum(values[1:-1]))
+        return h * (0.5 * (values[..., 0] + values[..., -1]) + np.sum(values[..., 1:-1], axis=-1))
     return (h / 3.0) * (
-        values[0] + values[-1] + 4.0 * np.sum(values[1:-1:2]) + 2.0 * np.sum(values[2:-1:2])
+        values[..., 0]
+        + values[..., -1]
+        + 4.0 * np.sum(values[..., 1:-1:2], axis=-1)
+        + 2.0 * np.sum(values[..., 2:-1:2], axis=-1)
     )
 
 
@@ -164,20 +185,70 @@ def velocity_of_time(traj, t):
     return np.sqrt(1.0 - (v / traj.constants.c) ** 2)
 
 
+def _hermite_nodes(traj, x, numbers, s, tmp, v):
+    """traj.velocity's cubic Hermite arithmetic at the sorted nodes x, in place into v."""
+    knots = traj.times
+    # np.interp of the knot numbers is never below a node's interval number, and above
+    # it by at most one unless 1 / (t_j+1 - t_j) overflows: step down until exact
+    i = np.minimum(np.interp(x, knots, numbers), knots.size - 2).astype(np.intp)
+    # mode="clip" lets take write into tmp unbuffered; every index is in range
+    np.take(knots, i, out=tmp, mode="clip")
+    over = tmp > x
+    while over.any():
+        i -= over
+        np.take(knots, i, out=tmp, mode="clip")
+        np.greater(tmp, x, out=over)
+    np.subtract(x, tmp, out=s)
+    d, c2, c3 = traj._spline
+    np.take(c3, i, out=v, mode="clip")
+    for coefficient in (c2, d, traj.velocities):
+        v *= s
+        np.take(coefficient, i, out=tmp, mode="clip")
+        v += tmp
+
+
 def _worldline(traj, rest, times, quadrature, n_panels):
-    """Rows (t_s, action, energy_phase, spatial_phase) at each of `times`: one set of
-    nodes and one v per time, four integrals on them. One time at a time, so memory
-    is one node array however many times are asked for."""
+    """Rows (t_s, action, energy_phase, spatial_phase) at each of `times`.
+
+    The nodes of time t are k (t / n_panels), k = 0 .. n_panels, the last set to t:
+    np.linspace's nodes unless t / n_panels underflows. One v per node, and the
+    four integrands on them. Times go in blocks whose node arrays hold BLOCK_BYTES,
+    or one time where that is more, and each block reuses the arrays of the last,
+    so memory is a few node arrays however many times are asked for.
+    """
     check_quadrature(quadrature, n_panels)
+    times = np.asarray(times, dtype=float)
+    # every node lies in [0, t], so checking t checks them all; NaN fails too
+    if not np.all((times >= 0.0) & (times <= traj.horizon)):
+        raise ValueError(f"time outside trajectory range [0, {traj.horizon}]")
     c = traj.constants.c
-    rows = np.empty((4, len(times)))
-    for i, t in enumerate(times):
-        v = traj.velocity(np.linspace(0.0, t, n_panels + 1))
-        root = np.sqrt(1.0 - (v / c) ** 2)
-        energy = rest / root
+    k = np.arange(n_panels + 1, dtype=float)
+    numbers = np.arange(traj.times.size, dtype=float)
+    per_block = max(1, BLOCK_BYTES // k.nbytes)
+    work = np.empty((4, min(per_block, times.size), k.size))
+    rows = np.empty((4, times.size))
+    for start in range(0, times.size, per_block):
+        t = times[start:start + per_block]
         h = t / n_panels
-        for row, integrand in enumerate((root, -rest * root, energy, energy * (v / c) ** 2)):
-            rows[row, i] = _integrate(integrand, h, quadrature)
+        block = work[:, :t.size]
+        x, s, tmp, v = block
+        np.multiply(k, h[:, None], out=x)
+        x[:, -1] = t
+        if traj._spline is None:
+            v[...] = np.interp(x, traj.times, traj.velocities)
+        else:
+            _hermite_nodes(traj, x, numbers, s, tmp, v)
+        if v.max() >= c or v.min() <= -c:
+            raise ValueError("interpolated velocity reached the speed of light")
+        # the integrands over the node buffers: sqrt(1 - v^2/c^2), -E_s times it,
+        # E = E_s / sqrt(1 - v^2/c^2) and p v = E v^2 / c^2
+        w = np.square(np.divide(v, c, out=v), out=v)
+        root, action, energy, spatial = block
+        np.sqrt(np.subtract(1.0, w, out=root), out=root)
+        np.multiply(-rest, root, out=action)
+        np.divide(rest, root, out=energy)
+        np.multiply(energy, w, out=spatial)
+        rows[:, start:start + t.size] = _integrate(block, h, quadrature)
     return rows
 
 

@@ -34,8 +34,12 @@ class ScenarioError(ValueError):
 
 KINDS = ("verify", "propagate", "frame")
 
-# bounds the rows a propagate report holds (5 floats each, in memory and on disk)
+# bounds the rows a propagate or frame report holds (5 or 7 floats each, in memory
+# and on disk)
 MAX_SAMPLES = 2**20
+
+# bounds the work of a frame run: its quadrature nodes, output times x (panels + 1)
+MAX_QUADRATURE_NODES = 2**28
 
 # sections whose keys the echo lists at its top level; the others nest under their name
 FLAT_SECTIONS = ("scenario", "particle", "verify")
@@ -249,8 +253,19 @@ def parse_scenario(path):
         times = traj.get_floats("times")
         if not times:
             raise ScenarioError(f"{path}: [trajectory] times must list at least one value")
-        # fail fast: check the rule, parse the trajectory and bound the output times now
+        if len(times) > MAX_SAMPLES:
+            raise ScenarioError(
+                f"{path}: [trajectory] {len(times)} output times, above {MAX_SAMPLES}"
+            )
+        # fail fast: check the rule and bound its work, parse the trajectory and bound
+        # the output times now
         traj.build(check_quadrature, quadrature, panels)
+        nodes = len(times) * (panels + 1)
+        if nodes > MAX_QUADRATURE_NODES:
+            raise ScenarioError(
+                f"{path}: [trajectory] {len(times)} times x {panels + 1} nodes is "
+                f"{nodes} quadrature nodes, above {MAX_QUADRATURE_NODES}"
+            )
         try:
             loaded = traj.build(load_trajectory, traj_path, interpolation, constants)
         except OSError as exc:

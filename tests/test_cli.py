@@ -538,6 +538,23 @@ def trajectory_is_a_directory(tmp_path):
     return "frame", path, "cannot read trajectory file"
 
 
+def frame_times_over_bound(tmp_path):
+    # 2^20 + 1 output times, rejected at parse before the trajectory loads
+    path = write_frame(tmp_path)
+    times = " ".join(["0.5"] * (2**20 + 1))
+    Path(path).write_text(Path(path).read_text().replace("0.25 0.5 0.75 1.0", times))
+    return "frame", path, "[trajectory] 1048577 output times, above 1048576"
+
+
+def frame_nodes_over_bound(tmp_path):
+    # 256 x (2^20 + 1) = 268435712 quadrature nodes, 256 above 2^28
+    path = write_frame(tmp_path)
+    times = " ".join(["0.5"] * 256)
+    text = Path(path).read_text().replace("0.25 0.5 0.75 1.0", times)
+    Path(path).write_text(text + "panels = 1048576\n")
+    return "frame", path, "[trajectory] 256 times x 1048577 nodes is 268435712 quadrature"
+
+
 @pytest.mark.parametrize(
     "case",
     [underflowing_packet, panels_over_bound, nan_output_time, infinite_dt, nan_momentum,
@@ -545,7 +562,8 @@ def trajectory_is_a_directory(tmp_path):
      massless_schrodinger, empty_interval, tiny_sigma, nan_trajectory_time,
      nan_trajectory_velocity, box_length_overflows, momentum_spacing_overflows,
      misspelt_initial_key, misspelt_verify_key, section_of_another_kind, unknown_propagator,
-     scenario_is_a_directory, trajectory_is_a_directory],
+     scenario_is_a_directory, trajectory_is_a_directory, frame_times_over_bound,
+     frame_nodes_over_bound],
 )
 def test_cli_exit_two_with_one_line_on_bad_input(tmp_path, capsys, case):
     command, path, message = case(tmp_path)

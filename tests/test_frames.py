@@ -9,6 +9,8 @@ at the nodes.
 """
 
 import math
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,9 @@ from propertime import (
     Trajectory,
     action_phase,
     load_trajectory,
+    parse_scenario,
     proper_time_of,
+    run,
     semiclassical_phase,
     velocity_of_time,
 )
@@ -271,3 +275,178 @@ def test_velocity_of_time_vectorized_matches_loop(interpolation):
     times = np.linspace(0.0, traj.horizon, 37)
     loop = [float(velocity_of_time(traj, t)) for t in times]
     assert velocity_of_time(traj, times).tolist() == loop
+
+
+def per_time_worldline(traj, rest, times, quadrature, n_panels):
+    """The per-time loop the blocked quadrature replaced: one np.linspace and one
+    traj.velocity per output time, the rule on each 1-d integrand."""
+    c = traj.constants.c
+
+    def integrate(values, h):
+        if quadrature == "trapezoid":
+            return h * (0.5 * (values[0] + values[-1]) + np.sum(values[1:-1]))
+        return (h / 3.0) * (
+            values[0] + values[-1] + 4.0 * np.sum(values[1:-1:2]) + 2.0 * np.sum(values[2:-1:2])
+        )
+
+    rows = np.empty((4, len(times)))
+    for i, t in enumerate(times):
+        v = traj.velocity(np.linspace(0.0, t, n_panels + 1))
+        root = np.sqrt(1.0 - (v / c) ** 2)
+        energy = rest / root
+        h = t / n_panels
+        for row, integrand in enumerate((root, -rest * root, energy, energy * (v / c) ** 2)):
+            rows[row, i] = integrate(integrand, h)
+    return rows
+
+
+def random_table(rng, interpolation):
+    """A non-uniform table: gaps spread over orders of magnitude, any horizon."""
+    samples = int(rng.integers(2, 400))
+    t = np.concatenate([[0.0], np.cumsum(rng.exponential(1.0, samples - 1) ** 3 + 1e-9)])
+    t *= rng.uniform(0.1, 10.0) / t[-1]
+    return Trajectory(t, rng.uniform(-0.95, 0.95, samples), interpolation)
+
+
+def phase_rows(traj, particle, times, quadrature, n_panels):
+    r = semiclassical_phase(traj, particle, times, quadrature, n_panels)
+    return np.array([r.proper_time, r.action, r.energy_phase, r.spatial_phase])
+
+
+@pytest.mark.parametrize("interpolation", ["linear", "cubic_hermite"])
+@pytest.mark.parametrize("quadrature", ["trapezoid", "simpson"])
+def test_worldline_is_bitwise_the_per_time_loop(interpolation, quadrature):
+    rng = np.random.default_rng(2024)
+    particle = ParticleSpec(1.3)
+    for _ in range(20):
+        traj = random_table(rng, interpolation)
+        knots = rng.choice(traj.times, 3)
+        inside = rng.uniform(0.0, traj.horizon, 5)
+        # 5e-324 / n_panels underflows, where np.linspace scales k / n_panels instead
+        times = np.concatenate([[0.0, 5e-324, traj.horizon], knots, inside])
+        for n_panels in (4, 64, 4096, 4097 if quadrature == "trapezoid" else 4098):
+            rows = phase_rows(traj, particle, times, quadrature, n_panels)
+            rest = particle.rest_energy
+            assert np.array_equal(rows, per_time_worldline(traj, rest, times, quadrature, n_panels))
+
+
+def test_worldline_row_independent_of_its_block():
+    traj = load_trajectory(SCENARIOS / "tanh.traj")
+    particle = ParticleSpec(1.0)
+    times = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 65))
+    together = phase_rows(traj, particle, times, "simpson", 4096)
+    for i, t in enumerate(times):
+        alone = phase_rows(traj, particle, [t], "simpson", 4096)
+        assert np.array_equal(alone[:, 0], together[:, i])
+
+
+def test_worldline_memory_a_few_node_arrays():
+    # the per-time loop peaked at 11 node arrays; the blocks reuse 4 and add 3
+    traj = load_trajectory(SCENARIOS / "tanh.traj")
+    n_panels = 2**20
+    tracemalloc.start()
+    try:
+        semiclassical_phase(traj, ParticleSpec(1.0), [0.5, 1.0], "simpson", n_panels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * (n_panels + 1)
+
+
+def test_nan_output_time_rejected():
+    with pytest.raises(ValueError, match="outside trajectory range"):
+        proper_time_of(tanh_trajectory(samples=65), math.nan)
+
+
+def test_shipped_frame_follows_gudermannian():
+    report = run(parse_scenario(str(SCENARIOS / "frame_tanh.cfg")))
+    t_col = report.sample_columns.index("t")
+    ts_col = report.sample_columns.index("proper_time")
+    for row in report.samples:
+        assert abs(row[ts_col] - gudermannian(row[t_col])) <= 2e-12
+
+
+@pytest.mark.parametrize(
+    "interpolation, quadrature, tolerance",
+    [("cubic_hermite", "simpson", 1e-14), ("cubic_hermite", "trapezoid", 5e-9),
+     ("linear", "simpson", 5e-9), ("linear", "trapezoid", 5e-9)],
+)
+def test_shipped_table_follows_gudermannian(interpolation, quadrature, tolerance):
+    traj = load_trajectory(SCENARIOS / "tanh.traj", interpolation)
+    times = [0.0, 0.125, 1.0 / 3.0, 0.5, 0.75, 0.9, 1.0]
+    result = semiclassical_phase(traj, ParticleSpec(1.0), times, quadrature, 4096)
+    for t, t_s in zip(times, result.proper_time):
+        assert abs(t_s - gudermannian(t)) <= tolerance
+
+
+def read_rows_by_line(path):
+    """The `t v` columns as float() reads each token, one line at a time."""
+    times, velocities = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            fields = raw.split("#", 1)[0].split()
+            if fields:
+                times.append(float(fields[0]))
+                velocities.append(float(fields[1]))
+    return np.array(times), np.array(velocities)
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def formatted_table(rng, rows):
+    """Text of a table in many spellings: signs, exponents, tabs, comments, CRLF."""
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-6, 1.0, rows - 1))])
+    v = rng.uniform(-0.99, 0.99, rows)
+    # the time spellings keep the gaps, so the times stay increasing
+    spellings = (repr, "{:+.12f}".format, "{:.17E}".format, "{:.6e}".format, "{:g}".format)
+    lines = ["# generated table", ""]
+    for a, b in zip(t, v):
+        sep = rng.choice([" ", "\t", "  \t "])
+        line = spellings[rng.integers(3)](float(a)) + sep + spellings[rng.integers(5)](float(b))
+        if rng.random() < 0.2:
+            line += "   # note"
+        if rng.random() < 0.1:
+            line += "\n"
+        lines.append(line)
+    return "\r\n".join(lines) + "\r\n"
+
+
+def test_loader_values_are_float_of_each_token(tmp_path, capfd):
+    rng = np.random.default_rng(11)
+    paths = [SCENARIOS / "tanh.traj"]
+    for i in range(10):
+        path = tmp_path / f"table{i}.traj"
+        path.write_bytes(formatted_table(rng, int(rng.integers(2, 300))).encode())
+        paths.append(path)
+    # float() reads digit separators, which loadtxt refuses
+    path = tmp_path / "separators.traj"
+    path.write_text("0 0\n1_0 0.5\n2_0.25e0_1 -0.25\n")
+    paths.append(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in paths:
+            traj = load_trajectory(path, "linear")
+            times, velocities = read_rows_by_line(path)
+            assert_bitwise(traj.times, times)
+            assert_bitwise(traj.velocities, velocities)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("0.0 0.0\n0.5\n", ":2: expected `t v`, got '0.5'"),
+     ("0.0 0.0\n0.5 0.1 0.2  # three\n", ":2: expected `t v`, got '0.5 0.1 0.2  # three'"),
+     ("0.0 0.0\n\n0.5 fast\n", ":3: could not convert string to float: 'fast'"),
+     ("# only a comment\n\n# and another\n", ": no samples")],
+)
+def test_loader_names_the_bad_line(tmp_path, capfd, text, message):
+    path = tmp_path / "bad.traj"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as excinfo:
+            load_trajectory(path)
+    assert str(excinfo.value) == f"{path}{message}"
+    assert capfd.readouterr() == ("", "")

@@ -170,6 +170,14 @@ def test_frame_empty_times_rejected(tmp_path):
         parse_scenario(write(tmp_path, body))
 
 
+def test_frame_work_just_inside_bound_parses(tmp_path):
+    # 255 x (2^20 + 1) = 267387135 quadrature nodes, below 2^28
+    (tmp_path / "coast.traj").write_text("0.0 0.5\n2.0 0.5\n")
+    body = FRAME.replace("times = 0.5 1.0", "times = " + " ".join(["0.5"] * 255))
+    scenario = parse_scenario(write(tmp_path, body + "panels = 1048576\n"))
+    assert len(scenario.params.times) == 255 and scenario.params.panels == 1048576
+
+
 def test_echo_lists_defaults_in_reading_order(tmp_path):
     (tmp_path / "coast.traj").write_text("0.0 0.5\n2.0 0.5\n")
     units = {"hbar": 1.0, "c": 1.0}

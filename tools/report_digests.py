@@ -7,7 +7,11 @@ scenario files always come from this checkout: benchmarks/workloads.py
 (imported read-only) writes every op of every workload at seeds 1 and 2, and
 each shipped scenario runs once in json and once in csv. Two runs against
 two SRC_DIRs therefore feed the same input bytes to both programs, and
-`diff` of their outputs lists every report or exit code that differs.
+`diff` of their outputs lists every report or exit code that differs. Run both
+from one checkout, this script pointed at each `src/` in turn: a frame report
+echoes its trajectory path as the scenario writes it, and the workloads write
+it absolute, so a copy of this script run from another checkout changes the
+frame reports' bytes.
 
 Each line reads `workload seed key exit sha256`; the seed of a shipped
 scenario is `-`, and so is the sha256 of an op that wrote no report.
