@@ -185,11 +185,13 @@ def velocity_of_time(traj, t):
     return np.sqrt(1.0 - (v / traj.constants.c) ** 2)
 
 
-def _hermite_nodes(traj, x, numbers, s, tmp, v):
-    """traj.velocity's cubic Hermite arithmetic at the sorted nodes x, in place into v."""
+def _hermite_nodes(traj, x, s, tmp, v):
+    """traj.velocity's cubic Hermite arithmetic at the sorted nodes x, in place into v;
+    s and tmp are scratch arrays of x's shape."""
     knots = traj.times
     # np.interp of the knot numbers is never below a node's interval number, and above
     # it by at most one unless 1 / (t_j+1 - t_j) overflows: step down until exact
+    numbers = np.arange(knots.size, dtype=float)
     i = np.minimum(np.interp(x, knots, numbers), knots.size - 2).astype(np.intp)
     # mode="clip" lets take write into tmp unbuffered; every index is in range
     np.take(knots, i, out=tmp, mode="clip")
@@ -223,7 +225,6 @@ def _worldline(traj, rest, times, quadrature, n_panels):
         raise ValueError(f"time outside trajectory range [0, {traj.horizon}]")
     c = traj.constants.c
     k = np.arange(n_panels + 1, dtype=float)
-    numbers = np.arange(traj.times.size, dtype=float)
     per_block = max(1, BLOCK_BYTES // k.nbytes)
     work = np.empty((4, min(per_block, times.size), k.size))
     rows = np.empty((4, times.size))
@@ -237,7 +238,7 @@ def _worldline(traj, rest, times, quadrature, n_panels):
         if traj._spline is None:
             v[...] = np.interp(x, traj.times, traj.velocities)
         else:
-            _hermite_nodes(traj, x, numbers, s, tmp, v)
+            _hermite_nodes(traj, x, s, tmp, v)
         if v.max() >= c or v.min() <= -c:
             raise ValueError("interpolated velocity reached the speed of light")
         # the integrands over the node buffers: sqrt(1 - v^2/c^2), -E_s times it,

@@ -326,8 +326,22 @@ def test_worldline_is_bitwise_the_per_time_loop(interpolation, quadrature):
         times = np.concatenate([[0.0, 5e-324, traj.horizon], knots, inside])
         for n_panels in (4, 64, 4096, 4097 if quadrature == "trapezoid" else 4098):
             rows = phase_rows(traj, particle, times, quadrature, n_panels)
-            rest = particle.rest_energy
-            assert np.array_equal(rows, per_time_worldline(traj, rest, times, quadrature, n_panels))
+            loop = per_time_worldline(traj, particle.rest_energy, times, quadrature, n_panels)
+            assert np.array_equal(rows, loop)
+
+
+def test_worldline_exact_where_the_interval_guess_overflows():
+    # 1 / (t_2 - t_1) = 2^1030 overflows, so np.interp's guess at a node between
+    # t_1 and t_2 is inf; v = t / 4 up to t = 0.25 keeps the cubic's coefficients
+    # finite there, and the turn after it makes every other interval's cubic differ
+    t = np.array([0.0, 2.0**-1030, 2.0**-1029, 0.25, 0.5, 0.75, 1.0])
+    traj = Trajectory(t, np.append(t[:4] / 4.0, [0.3, 0.1, -0.5]), "cubic_hermite")
+    particle = ParticleSpec(1.0)
+    times = [3.0 * 2.0**-1031, 2.0**-1028, 0.5, 1.0]
+    for n_panels in (4, 64):
+        rows = phase_rows(traj, particle, times, "simpson", n_panels)
+        loop = per_time_worldline(traj, particle.rest_energy, times, "simpson", n_panels)
+        assert np.array_equal(rows, loop)
 
 
 def test_worldline_row_independent_of_its_block():

@@ -107,7 +107,7 @@ def main(argv=None):
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             record = json.load(fh)
-    record["sides"] = {side: {"root": root, "rev": git_rev(root)} for side, root in roots.items()}
+    record["sides"] = {side: {"rev": git_rev(root)} for side, root in roots.items()}
     key = args.workload + (" --trace 1" if args.trace else "")
 
     pairs = []
