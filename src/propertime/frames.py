@@ -110,18 +110,45 @@ class Trajectory:
     def velocity(self, t):
         """Interpolated v(t); raises on out-of-range t or an interpolant >= c."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > self.horizon):
+        self._check_times(t)
+        x = t.reshape(-1)
+        s, tmp, v = np.empty((3, x.size))
+        self._velocity_into(x, s, tmp, v)
+        return v.reshape(t.shape)[()]
+
+    def _check_times(self, t):
+        # NaN fails the test too
+        if not np.all((t >= 0.0) & (t <= self.horizon)):
             raise ValueError(f"time outside trajectory range [0, {self.horizon}]")
+
+    def _velocity_into(self, x, s, tmp, v):
+        """v at the in-range times x, written into v; s and tmp are scratch arrays
+        of x's shape. Raises where the interpolant reaches c."""
+        knots = self.times
         if self._spline is None:
-            v = np.interp(t, self.times, self.velocities)
+            v[...] = np.interp(x, knots, self.velocities)
         else:
-            i = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, self.times.size - 2)
-            s = t - self.times[i]
+            # np.interp of the knot numbers is never below a time's interval number;
+            # it is one above where rounding reaches the next knot, and up to the last
+            # interval where 1 / (t_j+1 - t_j) overflows: search those times
+            numbers = np.arange(knots.size, dtype=float)
+            i = np.minimum(np.interp(x, knots, numbers), knots.size - 2).astype(np.intp)
+            # mode="clip" lets take write into tmp unbuffered; every index is in range
+            np.take(knots, i, out=tmp, mode="clip")
+            over = tmp > x
+            if over.any():
+                i[over] = np.searchsorted(knots, x[over], side="right") - 1
+                tmp[over] = knots[i[over]]
+            np.subtract(x, tmp, out=s)
             d, c2, c3 = self._spline
-            v = self.velocities[i] + s * (d[i] + s * (c2[i] + s * c3[i]))
-        if np.any(np.abs(v) >= self.constants.c):
+            np.take(c3, i, out=v, mode="clip")
+            for coefficient in (c2, d, self.velocities):
+                v *= s
+                np.take(coefficient, i, out=tmp, mode="clip")
+                v += tmp
+        c = self.constants.c
+        if v.size and (v.max() >= c or v.min() <= -c):
             raise ValueError("interpolated velocity reached the speed of light")
-        return v
 
 
 def load_trajectory(path, interpolation="cubic_hermite", constants=NATURAL_UNITS):
@@ -185,30 +212,6 @@ def velocity_of_time(traj, t):
     return np.sqrt(1.0 - (v / traj.constants.c) ** 2)
 
 
-def _hermite_nodes(traj, x, s, tmp, v):
-    """traj.velocity's cubic Hermite arithmetic at the sorted nodes x, in place into v;
-    s and tmp are scratch arrays of x's shape."""
-    knots = traj.times
-    # np.interp of the knot numbers is never below a node's interval number, and above
-    # it by at most one unless 1 / (t_j+1 - t_j) overflows: step down until exact
-    numbers = np.arange(knots.size, dtype=float)
-    i = np.minimum(np.interp(x, knots, numbers), knots.size - 2).astype(np.intp)
-    # mode="clip" lets take write into tmp unbuffered; every index is in range
-    np.take(knots, i, out=tmp, mode="clip")
-    over = tmp > x
-    while over.any():
-        i -= over
-        np.take(knots, i, out=tmp, mode="clip")
-        np.greater(tmp, x, out=over)
-    np.subtract(x, tmp, out=s)
-    d, c2, c3 = traj._spline
-    np.take(c3, i, out=v, mode="clip")
-    for coefficient in (c2, d, traj.velocities):
-        v *= s
-        np.take(coefficient, i, out=tmp, mode="clip")
-        v += tmp
-
-
 def _worldline(traj, rest, times, quadrature, n_panels):
     """Rows (t_s, action, energy_phase, spatial_phase) at each of `times`.
 
@@ -220,9 +223,8 @@ def _worldline(traj, rest, times, quadrature, n_panels):
     """
     check_quadrature(quadrature, n_panels)
     times = np.asarray(times, dtype=float)
-    # every node lies in [0, t], so checking t checks them all; NaN fails too
-    if not np.all((times >= 0.0) & (times <= traj.horizon)):
-        raise ValueError(f"time outside trajectory range [0, {traj.horizon}]")
+    # every node lies in [0, t], so checking t checks them all
+    traj._check_times(times)
     c = traj.constants.c
     k = np.arange(n_panels + 1, dtype=float)
     per_block = max(1, BLOCK_BYTES // k.nbytes)
@@ -235,12 +237,7 @@ def _worldline(traj, rest, times, quadrature, n_panels):
         x, s, tmp, v = block
         np.multiply(k, h[:, None], out=x)
         x[:, -1] = t
-        if traj._spline is None:
-            v[...] = np.interp(x, traj.times, traj.velocities)
-        else:
-            _hermite_nodes(traj, x, s, tmp, v)
-        if v.max() >= c or v.min() <= -c:
-            raise ValueError("interpolated velocity reached the speed of light")
+        traj._velocity_into(x, s, tmp, v)
         # the integrands over the node buffers: sqrt(1 - v^2/c^2), -E_s times it,
         # E = E_s / sqrt(1 - v^2/c^2) and p v = E v^2 / c^2
         w = np.square(np.divide(v, c, out=v), out=v)

@@ -277,9 +277,20 @@ def test_velocity_of_time_vectorized_matches_loop(interpolation):
     assert velocity_of_time(traj, times).tolist() == loop
 
 
+def searchsorted_velocity(traj, t):
+    """v(t) as Trajectory.velocity computed it before the interval guess: each
+    time's interval by searchsorted, clipped, and one Horner expression."""
+    if traj._spline is None:
+        return np.interp(t, traj.times, traj.velocities)
+    i = np.clip(np.searchsorted(traj.times, t, side="right") - 1, 0, traj.times.size - 2)
+    s = t - traj.times[i]
+    d, c2, c3 = traj._spline
+    return traj.velocities[i] + s * (d[i] + s * (c2[i] + s * c3[i]))
+
+
 def per_time_worldline(traj, rest, times, quadrature, n_panels):
     """The per-time loop the blocked quadrature replaced: one np.linspace and one
-    traj.velocity per output time, the rule on each 1-d integrand."""
+    searchsorted_velocity per output time, the rule on each 1-d integrand."""
     c = traj.constants.c
 
     def integrate(values, h):
@@ -291,7 +302,7 @@ def per_time_worldline(traj, rest, times, quadrature, n_panels):
 
     rows = np.empty((4, len(times)))
     for i, t in enumerate(times):
-        v = traj.velocity(np.linspace(0.0, t, n_panels + 1))
+        v = searchsorted_velocity(traj, np.linspace(0.0, t, n_panels + 1))
         root = np.sqrt(1.0 - (v / c) ** 2)
         energy = rest / root
         h = t / n_panels
@@ -330,18 +341,45 @@ def test_worldline_is_bitwise_the_per_time_loop(interpolation, quadrature):
             assert np.array_equal(rows, loop)
 
 
-def test_worldline_exact_where_the_interval_guess_overflows():
+@pytest.mark.parametrize("interpolation", ["linear", "cubic_hermite"])
+def test_velocity_is_bitwise_the_searchsorted_evaluator(interpolation):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        traj = random_table(rng, interpolation)
+        times = np.concatenate([[0.0, 5e-324, traj.horizon], traj.times,
+                                rng.uniform(0.0, traj.horizon, 200)])
+        assert np.array_equal(traj.velocity(times), searchsorted_velocity(traj, times))
+        grid = times[: 2 * (times.size // 2)].reshape(2, -1)
+        assert np.array_equal(traj.velocity(grid), searchsorted_velocity(traj, grid))
+        assert traj.velocity(times[-1]) == searchsorted_velocity(traj, times[-1])
+
+
+def overflow_table(tail_knots):
     # 1 / (t_2 - t_1) = 2^1030 overflows, so np.interp's guess at a node between
     # t_1 and t_2 is inf; v = t / 4 up to t = 0.25 keeps the cubic's coefficients
-    # finite there, and the turn after it makes every other interval's cubic differ
-    t = np.array([0.0, 2.0**-1030, 2.0**-1029, 0.25, 0.5, 0.75, 1.0])
-    traj = Trajectory(t, np.append(t[:4] / 4.0, [0.3, 0.1, -0.5]), "cubic_hermite")
+    # finite there, and the turns after it make every other interval's cubic differ
+    t = np.concatenate([[0.0, 2.0**-1030, 2.0**-1029], np.linspace(0.25, 1.0, tail_knots)])
+    v = np.concatenate([t[:4] / 4.0, 0.5 * np.sin(np.arange(1, tail_knots))])
+    return Trajectory(t, v, "cubic_hermite")
+
+
+@pytest.mark.parametrize("tail_knots", [4, 5000])
+def test_worldline_exact_where_the_interval_guess_overflows(tail_knots, monkeypatch):
+    traj = overflow_table(tail_knots)
     particle = ParticleSpec(1.0)
-    times = [3.0 * 2.0**-1031, 2.0**-1028, 0.5, 1.0]
+    times = [3.0 * 2.0**-1031, 2.0**-1030, 2.0**-1028, 0.5, 1.0]
     for n_panels in (4, 64):
         rows = phase_rows(traj, particle, times, "simpson", n_panels)
         loop = per_time_worldline(traj, particle.rest_energy, times, "simpson", n_panels)
         assert np.array_equal(rows, loop)
+    nodes = np.array([2.0**-1030, 3.0 * 2.0**-1031, 2.0**-1029, 0.6])
+    assert np.array_equal(traj.velocity(nodes), searchsorted_velocity(traj, nodes))
+    # the interval search takes a fixed number of passes, not one per knot
+    takes = []
+    take = np.take
+    monkeypatch.setattr(np, "take", lambda *a, **kw: takes.append(1) or take(*a, **kw))
+    traj.velocity(np.full(1000, 3.0 * 2.0**-1031))
+    assert len(takes) <= 5
 
 
 def test_worldline_row_independent_of_its_block():
@@ -370,6 +408,8 @@ def test_worldline_memory_a_few_node_arrays():
 def test_nan_output_time_rejected():
     with pytest.raises(ValueError, match="outside trajectory range"):
         proper_time_of(tanh_trajectory(samples=65), math.nan)
+    with pytest.raises(ValueError, match="outside trajectory range"):
+        velocity_of_time(tanh_trajectory(samples=65), [0.5, math.nan])
 
 
 def test_shipped_frame_follows_gudermannian():
